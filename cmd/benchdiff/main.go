@@ -39,9 +39,8 @@
 // requires the report to carry precision stats ('dssddi precision
 // -bench') and hard-fails when the f32 entry's max absolute score
 // divergence from the float64 oracle exceeds -max-abs-delta, or its
-// top-K ranking invariance drops below -min-ranking-invariance. The
-// int8-experimental entry is printed but never gated — it is the
-// proven-path experiment, not a shipped precision.
+// top-K ranking invariance drops below -min-ranking-invariance. Any
+// other precision entry is printed but never gated.
 //
 // Usage:
 //
@@ -283,7 +282,7 @@ func checkPrecision(rep benchfmt.Report, maxAbsDelta, minInvariance float64) err
 	var gated bool
 	var gateErr error
 	for _, ps := range rep.Precisions {
-		fmt.Printf("precision %-18s max|dscore| %.3e, top-%d ranking invariance %.3f over %d patients x %d drugs\n",
+		fmt.Printf("precision %-4s max|dscore| %.3e, top-%d ranking invariance %.3f over %d patients x %d drugs\n",
 			ps.Precision, ps.MaxAbsDelta, ps.K, ps.RankingInvariance, ps.Patients, ps.Drugs)
 		if ps.Precision != "f32" {
 			continue

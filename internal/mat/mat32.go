@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense32 is a row-major dense matrix of float32 — the serving
 // engine's quantized representation of frozen model state (drug
@@ -112,85 +109,5 @@ func MulRowHadamardInto32(dst, x, y []float32, t float32, b *Dense32) {
 	}
 	if t != 0 {
 		mulAddRow132(dst, b.Row(d), t)
-	}
-}
-
-// Quant8 is a row-quantized int8 matrix: each row carries its own
-// affine (scale, offset) pair, chosen so the row's value range maps
-// onto [-127, 127]. One element costs 1 byte plus the amortized 8
-// bytes per row — the experimental int8 serving representation of the
-// drug-representation matrix.
-type Quant8 struct {
-	rows, cols int
-	data       []int8
-	scale      []float32
-	offset     []float32
-}
-
-// Quantize8 builds the per-row affine int8 quantization of m.
-// Dequantizing element (i, j) yields
-// float32(q[i][j])*scale[i] + offset[i]; a constant row quantizes
-// exactly (scale 0, offset = the constant).
-func Quantize8(m *Dense32) *Quant8 {
-	q := &Quant8{
-		rows:   m.rows,
-		cols:   m.cols,
-		data:   make([]int8, m.rows*m.cols),
-		scale:  make([]float32, m.rows),
-		offset: make([]float32, m.rows),
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		if len(row) == 0 {
-			continue
-		}
-		lo, hi := row[0], row[0]
-		for _, v := range row[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		off := (hi + lo) / 2
-		scale := (hi - lo) / 254
-		q.offset[i], q.scale[i] = off, scale
-		if scale == 0 {
-			continue // constant row: every element dequantizes to off
-		}
-		out := q.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			r := math.RoundToEven(float64((v - off) / scale))
-			switch {
-			case r > 127:
-				r = 127
-			case r < -127:
-				r = -127
-			}
-			out[j] = int8(r)
-		}
-	}
-	return q
-}
-
-// Rows returns the number of rows.
-func (q *Quant8) Rows() int { return q.rows }
-
-// Cols returns the number of columns.
-func (q *Quant8) Cols() int { return q.cols }
-
-// Bytes returns the resident size of the quantized payload: 1 byte per
-// element plus the per-row scale/offset pairs.
-func (q *Quant8) Bytes() int { return len(q.data) + 4*len(q.scale) + 4*len(q.offset) }
-
-// DequantRowInto reconstructs row i into dst (length ≥ Cols), the
-// fused dequantization step of the int8 scoring path.
-func (q *Quant8) DequantRowInto(dst []float32, i int) {
-	row := q.data[i*q.cols : (i+1)*q.cols]
-	scale, off := q.scale[i], q.offset[i]
-	dst = dst[:len(row)]
-	for j, v := range row {
-		dst[j] = float32(v)*scale + off
 	}
 }

@@ -115,46 +115,3 @@ func TestMulRowHadamardInto32SIMDOnOff(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantize8RoundTrip checks the affine row quantization: every
-// dequantized element lies within half a quantization step of the
-// original, and constant rows reconstruct exactly.
-func TestQuantize8RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m := New32(9, 33)
-	copy(m.data, randSlice32(rng, len(m.data)))
-	for j := range m.Row(4) {
-		m.Row(4)[j] = 2.5 // constant row
-	}
-	q := Quantize8(m)
-	deq := make([]float32, m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		q.DequantRowInto(deq, i)
-		row := m.Row(i)
-		lo, hi := row[0], row[0]
-		for _, v := range row[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		step := float64(hi-lo) / 254
-		for j, v := range row {
-			if err := math.Abs(float64(deq[j] - v)); err > step/2+1e-6 {
-				t.Fatalf("row %d col %d: dequant %v vs %v, err %g > half step %g", i, j, deq[j], v, err, step/2)
-			}
-		}
-		if i == 4 {
-			for j := range deq {
-				if deq[j] != 2.5 {
-					t.Fatalf("constant row reconstructs %v, want 2.5", deq[j])
-				}
-			}
-		}
-	}
-	if got, want := q.Bytes(), 9*33+9*8; got != want {
-		t.Fatalf("Quant8.Bytes() = %d, want %d", got, want)
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dssddi/internal/mat"
-	"dssddi/internal/metrics"
 	"dssddi/internal/nn"
 )
 
@@ -34,7 +33,7 @@ import (
 // by the embedding and must be treated as read-only by the scoring
 // engine.
 //
-// On a quantized model (SetPrecision f32/int8) EmbedPatient stores the
+// On a quantized model (SetPrecision f32) EmbedPatient stores the
 // narrowed H32/T32 pair instead and leaves H/T nil — a registry of
 // cached embeddings then holds half the bytes — so an embedding is
 // bound to the precision of the model that built it; checkEmbedding
@@ -227,28 +226,10 @@ func (m *Model) ScoresForInto(dst []float64, e *PatientEmbedding) {
 		copy(dst, m.scoresForReference(e))
 		return
 	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		sc := m.getScratch()
-		copy(sc.hp32, e.H32)
-		for vLo := 0; vLo < nD; vLo += drugTile {
-			vHi := vLo + drugTile
-			if vHi > nD {
-				vHi = nD
-			}
-			m.scoreTile32(dst[vLo:vHi], sc, e.T32, vLo)
-		}
-		m.putScratch(sc)
-		return
-	}
 	hDrug := m.drugReps()
 	sc := m.getScratch()
-	copy(sc.hp, e.H)
 	for vLo := 0; vLo < nD; vLo += drugTile {
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		m.scoreTile(dst[vLo:vHi], sc, hDrug, e.T, vLo)
+		m.scoreTile(dst[vLo:min(vLo+drugTile, nD)], sc, hDrug, e, vLo)
 	}
 	m.putScratch(sc)
 }
@@ -267,24 +248,10 @@ func (m *Model) ScoresFor(e *PatientEmbedding) []float64 {
 func (m *Model) TopKScoresFor(e *PatientEmbedding, k int) (ids []int, scores []float64) {
 	m.checkEmbedding(e)
 	if m.pd == nil {
-		row := m.scoresForReference(e)
-		for _, v := range metrics.TopK(row, k) {
-			ids = append(ids, v)
-			scores = append(scores, row[v])
-		}
-		return ids, scores
+		return topKOfRow(m.scoresForReference(e), k)
 	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		sc := m.getScratch()
-		copy(sc.hp32, e.H32)
-		ids, scores = m.topKSelect32(sc, e.T32, k)
-		m.putScratch(sc)
-		return ids, scores
-	}
-	hDrug := m.drugReps()
 	sc := m.getScratch()
-	copy(sc.hp, e.H)
-	ids, scores = m.topKSelect(sc, hDrug, e.T, k)
+	ids, scores = m.topKSelect(sc, m.drugReps(), e, k)
 	m.putScratch(sc)
 	return ids, scores
 }

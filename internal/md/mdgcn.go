@@ -108,14 +108,13 @@ type Model struct {
 	pd      *nn.PairDecoder
 	scratch sync.Pool
 
-	// Quantized serving representation (precision.go, score32.go):
+	// Quantized serving representation (precision.go, score.go):
 	// derived from the frozen f64 model by SetPrecision, all nil at
 	// F64, invalidated when Train moves the parameters. pd32 != nil is
 	// the engine's dispatch condition.
 	prec        Precision
 	pd32        *nn.PairDecoder32
 	drugCache32 *mat.Dense32
-	drugQ8      *mat.Quant8
 	trow32      [][]float32
 
 	// Lazily built inputs of the inductive patient layer (see
@@ -319,7 +318,7 @@ func (m *Model) Train() []float64 {
 	}
 	m.drugCache = nil // params are about to move; never serve stale reps
 	// The quantized representation is frozen-model state; drop it too.
-	m.prec, m.pd32, m.drugCache32, m.drugQ8, m.trow32 = F64, nil, nil, nil, nil
+	m.prec, m.pd32, m.drugCache32, m.trow32 = F64, nil, nil, nil
 	m.indMu.Lock()
 	m.indLayers, m.indDeg = nil, nil // same for the inductive layer inputs
 	m.indMu.Unlock()

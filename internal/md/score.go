@@ -10,7 +10,8 @@ import (
 )
 
 // This file is the tiled, fused scoring engine — the cold path behind
-// Scores, ScoresInto, ScoresRowsInto and TopKScores.
+// Scores, ScoresInto, ScoresRowsInto and TopKScores, and (through
+// inductive.go) ScoresForInto and TopKScoresFor.
 //
 // The batched reference path (scoresReference in mdgcn.go) scores P
 // patients against nD drugs by materializing three (P·nD × dim)
@@ -22,37 +23,45 @@ import (
 // O(tile) instead of O(P·nD·dim) and the steady state allocates
 // nothing (scratch is pooled and reused across calls).
 //
-// Every pair's value is bitwise identical to the reference path for
-// any worker count: the fused kernels reproduce the batched kernels'
+// At F64 every pair's value is bitwise identical to the reference path
+// for any worker count: the fused kernels reproduce the batched kernels'
 // per-element accumulation order exactly (see mat.MulRowInto and
 // nn.PairDecoder), units partition the output disjointly, and the
 // equivalence tests in score_test.go enforce it.
+//
+// The same walk serves the f32 representation SetPrecision derives.
+// Precision decides exactly two things: the per-patient operands
+// (embedRow: f64 hidden row and treatment row, or both narrowed to
+// f32) and the per-tile logit call (logitTile: nn.PairDecoder or the
+// fused eight-lane nn.PairDecoder32). Everything else — the tile walk,
+// the exp-skipping top-k selection and the pooled scratch — is shared.
+// Logits come back as float64 at either precision, so the selector,
+// the sigmoid and every caller-visible type are unchanged. The f32
+// path has no bitwise guarantee against the reference; it is
+// characterized against the f64 oracle by max absolute score
+// divergence and top-k ranking invariance (precision_test.go,
+// benchdiff -precision-gate).
 
 // drugTile is the drug-tile width of the scoring engine: one tile of
-// final drug representations (64 rows of Hidden float64s) stays
+// final drug representations (64 rows of Hidden floats) stays
 // cache-hot while a unit scores it, and it is the granularity at
 // which TopKScores folds scores into its running selection.
 const drugTile = 64
 
 // scoreScratch is the per-goroutine working set of the engine: the
-// patient hidden representation, the encoder ping-pong buffers, the
-// fused decoder's pair scratch, one score tile and a top-k selection.
+// patient hidden representation and its f32 narrowing, the encoder
+// ping-pong buffers, the fused decoders' pair scratch, one score tile
+// and a top-k selection.
 type scoreScratch struct {
 	hp    []float64
+	hp32  []float32
 	buf1  []float64
 	buf2  []float64
 	inter []float64
 	hid   []float64
+	hid32 []float32
 	tile  []float64
 	sel   metrics.Selector
-
-	// f32 working set (score32.go): the narrowed patient hidden
-	// representation, the f32 decoder scratch and the int8 dequant
-	// buffer. Sized on demand the first time a scratch meets a
-	// quantized model.
-	hp32  []float32
-	hid32 []float32
-	deq   []float32
 }
 
 func (m *Model) getScratch() *scoreScratch {
@@ -62,23 +71,64 @@ func (m *Model) getScratch() *scoreScratch {
 		w := m.fcPat.MaxWidth()
 		sc = &scoreScratch{
 			hp:    make([]float64, m.fcPat.OutDim()),
+			hp32:  make([]float32, m.fcPat.OutDim()),
 			buf1:  make([]float64, w),
 			buf2:  make([]float64, w),
 			inter: make([]float64, d+1),
 			hid:   make([]float64, h),
+			hid32: make([]float32, h),
 			tile:  make([]float64, drugTile),
 		}
-	}
-	if m.pd32 != nil && sc.hp32 == nil {
-		d, h := m.pd32.Dims()
-		sc.hp32 = make([]float32, len(sc.hp))
-		sc.hid32 = make([]float32, h)
-		sc.deq = make([]float32, d)
 	}
 	return sc
 }
 
 func (m *Model) putScratch(sc *scoreScratch) { m.scratch.Put(sc) }
+
+// embedRow encodes dataset patient p into sc and returns the patient's
+// operands at the active precision: the f64 hidden row plus the shared
+// treatment row, or the hidden row narrowed to f32 plus the cluster's
+// f32 treatment row. The result aliases sc and model state and is
+// valid until sc is reused.
+func (m *Model) embedRow(sc *scoreScratch, p int) PatientEmbedding {
+	x := m.Data.X.Row(p)
+	m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
+	c := m.Treatment.NearestCluster(x)
+	if m.pd32 != nil {
+		for i, v := range sc.hp {
+			sc.hp32[i] = float32(v)
+		}
+		return PatientEmbedding{H32: sc.hp32, T32: m.trow32[c]}
+	}
+	return PatientEmbedding{H: sc.hp, T: m.Treatment.clusterRow[c]}
+}
+
+// logitTile writes the decoder logits of drugs [vLo, vLo+len(dst)) for
+// patient e into dst — through the f64 kernel over hDrug, or through
+// the fused f32 kernel over the narrowed drug matrix on a quantized
+// model. It is the engine's only precision branch on the scoring side.
+func (m *Model) logitTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, e *PatientEmbedding, vLo int) {
+	if m.pd32 != nil {
+		for i := range dst {
+			v := vLo + i
+			dst[i] = m.pd32.Logit(e.H32, m.drugCache32.Row(v), e.T32[v], sc.hid32)
+		}
+		return
+	}
+	for i := range dst {
+		v := vLo + i
+		dst[i] = m.pd.Logit(e.H, hDrug.Row(v), e.T[v], sc.inter, sc.hid)
+	}
+}
+
+// scoreTile is logitTile followed by the sigmoid: the full scores the
+// ranking-free entry points return.
+func (m *Model) scoreTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, e *PatientEmbedding, vLo int) {
+	m.logitTile(dst, sc, hDrug, e, vLo)
+	for i, logit := range dst {
+		dst[i] = mat.Sigmoid(logit)
+	}
+}
 
 // scoreTask carries one scoring invocation through the worker pool.
 // Work units are (patient, drug tile) pairs, so a lone patient still
@@ -99,48 +149,19 @@ var scoreTaskPool = sync.Pool{New: func() any { return new(scoreTask) }}
 
 // Chunk implements par.Worker.
 func (t *scoreTask) Chunk(lo, hi int) {
-	if t.m.pd32 != nil { // quantized serving representation: f32 twin
-		t.chunk32(lo, hi)
-		return
-	}
 	sc := t.m.getScratch()
 	nD := t.m.Data.NumDrugs()
 	cur := -1 // a patient's tiles are contiguous in u: encode once, score many
-	var trow []float64
+	var e PatientEmbedding
 	for u := lo; u < hi; u++ {
 		if pi := u / t.tiles; pi != cur {
 			cur = pi
-			x := t.m.Data.X.Row(t.patients[pi])
-			t.m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
-			trow = t.m.Treatment.inferRowShared(x)
+			e = t.m.embedRow(sc, t.patients[pi])
 		}
 		vLo := (u % t.tiles) * drugTile
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		t.m.scoreTile(t.rows[cur][vLo:vHi], sc, t.hDrug, trow, vLo)
+		t.m.scoreTile(t.rows[cur][vLo:min(vLo+drugTile, nD)], sc, t.hDrug, &e, vLo)
 	}
 	t.m.putScratch(sc)
-}
-
-// scoreTile scores drugs [vLo, vLo+len(dst)) for the patient whose
-// hidden representation is in sc.hp, writing sigmoid scores into dst.
-func (m *Model) scoreTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, trow []float64, vLo int) {
-	for i := range dst {
-		v := vLo + i
-		dst[i] = mat.Sigmoid(m.pd.Logit(sc.hp, hDrug.Row(v), trow[v], sc.inter, sc.hid))
-	}
-}
-
-// logitTile is scoreTile without the sigmoid — the top-k path defers
-// it so drugs that provably cannot enter the selection never pay for
-// an exp.
-func (m *Model) logitTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, trow []float64, vLo int) {
-	for i := range dst {
-		v := vLo + i
-		dst[i] = m.pd.Logit(sc.hp, hDrug.Row(v), trow[v], sc.inter, sc.hid)
-	}
 }
 
 // runScore drives the engine over the given patients and recycles the
@@ -212,39 +233,33 @@ func (m *Model) ScoresRowsInto(rows [][]float64, patients []int) {
 // slices are the caller's to keep.
 func (m *Model) TopKScores(patient, k int) (ids []int, scores []float64) {
 	if m.pd == nil {
-		row := m.scoresReference([]int{patient}).Row(0)
-		for _, v := range metrics.TopK(row, k) {
-			ids = append(ids, v)
-			scores = append(scores, row[v])
-		}
-		return ids, scores
+		return topKOfRow(m.scoresReference([]int{patient}).Row(0), k)
 	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		return m.topKScores32(patient, k)
-	}
-	hDrug := m.drugReps()
 	sc := m.getScratch()
-	x := m.Data.X.Row(patient)
-	m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
-	trow := m.Treatment.inferRowShared(x)
-	ids, scores = m.topKSelect(sc, hDrug, trow, k)
+	e := m.embedRow(sc, patient)
+	ids, scores = m.topKSelect(sc, m.drugReps(), &e, k)
 	m.putScratch(sc)
 	return ids, scores
 }
 
-// topKSelect streams drug tiles for the patient whose hidden
-// representation is in sc.hp, folding logits into a size-k selection —
-// the shared tail of TopKScores and TopKScoresFor.
-func (m *Model) topKSelect(sc *scoreScratch, hDrug *mat.Dense, trow []float64, k int) (ids []int, scores []float64) {
+// topKOfRow ranks a fully materialized score row — the reference-path
+// form of the streamed selection.
+func topKOfRow(row []float64, k int) (ids []int, scores []float64) {
+	for _, v := range metrics.TopK(row, k) {
+		ids = append(ids, v)
+		scores = append(scores, row[v])
+	}
+	return ids, scores
+}
+
+// topKSelect streams drug tiles for patient e, folding logits into a
+// size-k selection — the shared tail of TopKScores and TopKScoresFor.
+func (m *Model) topKSelect(sc *scoreScratch, hDrug *mat.Dense, e *PatientEmbedding, k int) (ids []int, scores []float64) {
 	sc.sel.Reset(k)
 	nD := m.Data.NumDrugs()
 	for vLo := 0; vLo < nD; vLo += drugTile {
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		tile := sc.tile[:vHi-vLo]
-		m.logitTile(tile, sc, hDrug, trow, vLo)
+		tile := sc.tile[:min(drugTile, nD-vLo)]
+		m.logitTile(tile, sc, hDrug, e, vLo)
 		for i, logit := range tile {
 			// The selection ranks sigmoid scores, but the sigmoid is
 			// monotone non-decreasing, so a logit at or below the k-th

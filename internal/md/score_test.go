@@ -91,27 +91,38 @@ func TestFusedScoresMatchReference(t *testing.T) {
 }
 
 // TestTopKScoresMatchesFullRanking checks the streaming tiled
-// selection against ranking the full reference row, for every test
-// patient and several k, at both worker counts.
+// selection against ranking a full row, for several test patients and
+// k spanning a partial tile, several tiles and more than every drug,
+// at both worker counts and both precisions. At F64 the full row is
+// the batched reference; at F32 it is the engine's own Scores row, so
+// the exp-skip and tile edges are checked bitwise on the f32 logits.
 func TestTopKScoresMatchesFullRanking(t *testing.T) {
 	m := trainedScoreModel(t)
 	d := m.Data
-	for _, workers := range []int{1, 4} {
-		mat.SetWorkers(workers)
-		for _, p := range d.Test[:6] {
-			row := m.scoresReference([]int{p}).Row(0)
-			for _, k := range []int{1, 4, 17, d.NumDrugs(), d.NumDrugs() + 5} {
-				ids, scores := m.TopKScores(p, k)
-				want := metrics.TopK(row, k)
-				if len(ids) != len(want) || len(scores) != len(want) {
-					t.Fatalf("patient %d k=%d: got %d ids, want %d", p, k, len(ids), len(want))
+	for _, prec := range []Precision{F64, F32} {
+		withPrecision(t, m, prec)
+		for _, workers := range []int{1, 4} {
+			mat.SetWorkers(workers)
+			for _, p := range d.Test[:6] {
+				var row []float64
+				if prec == F64 {
+					row = m.scoresReference([]int{p}).Row(0)
+				} else {
+					row = m.Scores([]int{p}).Row(0)
 				}
-				for r := range want {
-					if ids[r] != want[r] {
-						t.Fatalf("workers=%d patient %d k=%d rank %d: id %d, want %d", workers, p, k, r, ids[r], want[r])
+				for _, k := range []int{1, 4, 17, d.NumDrugs(), d.NumDrugs() + 5} {
+					ids, scores := m.TopKScores(p, k)
+					want := metrics.TopK(row, k)
+					if len(ids) != len(want) || len(scores) != len(want) {
+						t.Fatalf("%v patient %d k=%d: got %d ids, want %d", prec, p, k, len(ids), len(want))
 					}
-					if math.Float64bits(scores[r]) != math.Float64bits(row[want[r]]) {
-						t.Fatalf("patient %d k=%d rank %d: score %v, want %v", p, k, r, scores[r], row[want[r]])
+					for r := range want {
+						if ids[r] != want[r] {
+							t.Fatalf("%v workers=%d patient %d k=%d rank %d: id %d, want %d", prec, workers, p, k, r, ids[r], want[r])
+						}
+						if math.Float64bits(scores[r]) != math.Float64bits(row[want[r]]) {
+							t.Fatalf("%v patient %d k=%d rank %d: score %v, want %v", prec, p, k, r, scores[r], row[want[r]])
+						}
 					}
 				}
 			}

@@ -139,29 +139,15 @@ func TestPrecisionBootAndMemory(t *testing.T) {
 		t.Fatalf("healthz precision %q, want f32", health.Precision)
 	}
 
-	// Hot reload flips the f32 server to int8: header follows, model
-	// shrinks below the f32 footprint, and the patient still serves.
+	// The retired int8 precision is rejected over the reload API and
+	// leaves the served epoch and precision untouched.
 	resp, body := post(t, ts32.URL+"/v1/admin/reload", ReloadRequest{Precision: "int8-experimental"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("int8 reload: %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("int8 reload: %d %s, want 400", resp.StatusCode, body)
 	}
-	var rr ReloadResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Precision != "int8-experimental" {
-		t.Fatalf("reload precision %q", rr.Precision)
-	}
-	r8, got8 := suggest(ts32)
-	if p := r8.Header.Get("X-Precision"); p != "int8-experimental" {
-		t.Fatalf("int8 X-Precision %q", p)
-	}
-	if len(got8.Suggestions) != len(got64.Suggestions) {
-		t.Fatalf("int8 suggestion count %d", len(got8.Suggestions))
-	}
-	m8 := metricsOf(ts32)
-	if m8.Memory.ModelBytes <= 0 || m8.Memory.ModelBytes >= m32.Memory.ModelBytes {
-		t.Fatalf("int8 model bytes %d not below f32's %d", m8.Memory.ModelBytes, m32.Memory.ModelBytes)
+	after, _ := suggest(ts32)
+	if e, p := after.Header.Get("X-Epoch"), after.Header.Get("X-Precision"); e != r32.Header.Get("X-Epoch") || p != "f32" {
+		t.Fatalf("after rejected int8 reload: X-Epoch %q X-Precision %q, want %q f32", e, p, r32.Header.Get("X-Epoch"))
 	}
 
 	// Invalid precisions fail loudly: at boot and over the reload API.
