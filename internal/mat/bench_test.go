@@ -93,3 +93,50 @@ func BenchmarkAddScaled(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMulRows4Into times four rows against the MD decoder's
+// layer-1 shape at the benchmark width (385x384: 1.18 MB of f64
+// weights, more than L1 holds) through the four-row kernel and as four
+// one-row calls, at both precisions. The four-row form streams the
+// weights once per op, the one-row form four times.
+func BenchmarkMulRows4Into(b *testing.B) {
+	const k, n = 385, 384
+	rng := rand.New(rand.NewSource(1))
+	w := randDense(rng, k, n)
+	a := randDense(rng, 4, k).Data()
+	dst := make([]float64, 4*n)
+	w32 := Dense32From(w)
+	x := Floats32(a[:k-1])
+	y4 := Floats32(a[:4*(k-1)])
+	y := [4][]float32{y4[:k-1], y4[k-1 : 2*(k-1)], y4[2*(k-1) : 3*(k-1)], y4[3*(k-1):]}
+	tv := []float32{1, 0, 1, 0}
+	dst32 := make([]float32, 4*n)
+	b.Run("f64/rows4", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			MulRows4Into(dst, a, w)
+		}
+	})
+	b.Run("f64/4xrow", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for r := 0; r < 4; r++ {
+				MulRowInto(dst[r*n:(r+1)*n], a[r*k:(r+1)*k], w)
+			}
+		}
+	})
+	b.Run("f32/rows4", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			MulRowsHadamard4Into32(dst32, x, y, tv, w32)
+		}
+	})
+	b.Run("f32/4xrow", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for r := 0; r < 4; r++ {
+				MulRowHadamardInto32(dst32[r*n:(r+1)*n], x, y[r], tv[r], w32)
+			}
+		}
+	})
+}

@@ -76,6 +76,60 @@ func MulRowInto(dst, arow []float64, b *Dense) {
 	}
 }
 
+// MulRows4Into is MulRowInto for four input rows at once: a holds four
+// rows of length b.Rows() back to back, and dst row r (dst[r*n :
+// (r+1)*n] with n = b.Cols()) receives exactly MulRowInto(dst_r, a_r,
+// b), bit for bit. Each 4-row quad of b is loaded once for all four
+// rows, so scoring four inputs against one weight matrix streams the
+// matrix from cache once instead of four times.
+//
+// Every output element keeps the identical k-blocked quad order, and
+// the all-zero quad skip stays a per-row decision: a quad that is
+// zero for some rows but not all runs the one-row kernel on the live
+// rows only, exactly as their MulRowInto calls would.
+func MulRows4Into(dst, a []float64, b *Dense) {
+	K, n := b.rows, b.cols
+	if len(a) != 4*K || len(dst) != 4*n {
+		panic(fmt.Sprintf("mat: MulRows4Into shape mismatch dst[%d] = a[%d] * %dx%d (want 4 rows each)",
+			len(dst), len(a), b.rows, b.cols))
+	}
+	for j := range dst {
+		dst[j] = 0
+	}
+	var coef [16]float64
+	for kb := 0; kb < K; kb += blockK {
+		ke := min(kb+blockK, K)
+		k := kb
+		for ; k+3 < ke; k += 4 {
+			live := 0
+			for r := 0; r < 4; r++ {
+				q := (*[4]float64)(a[r*K+k:])
+				copy(coef[4*r:], q[:])
+				if q[0] != 0 || q[1] != 0 || q[2] != 0 || q[3] != 0 {
+					live |= 1 << r
+				}
+			}
+			bq := b.data[k*n : (k+4)*n]
+			if live == 0xF {
+				mulAddRows4x4(dst, bq, &coef)
+				continue
+			}
+			for r := 0; r < 4; r++ {
+				if live&(1<<r) != 0 {
+					mulAddRows4(dst[r*n:(r+1)*n], bq, coef[4*r], coef[4*r+1], coef[4*r+2], coef[4*r+3])
+				}
+			}
+		}
+		for ; k < ke; k++ {
+			for r := 0; r < 4; r++ {
+				if av := a[r*K+k]; av != 0 {
+					mulAddRow1(dst[r*n:(r+1)*n], b.Row(k), av)
+				}
+			}
+		}
+	}
+}
+
 // HadamardRowInto computes dst[i] = a[i]*b[i] for plain slices — the
 // row-level form of HadamardInto, sharing its element formula (and
 // vector kernel) so fused consumers match the batched op bitwise.

@@ -111,3 +111,59 @@ func MulRowHadamardInto32(dst, x, y []float32, t float32, b *Dense32) {
 		mulAddRow132(dst, b.Row(d), t)
 	}
 }
+
+// MulRowsHadamard4Into32 is MulRowHadamardInto32 for four pairs that
+// share the operand x: dst holds four rows of length b.Cols() back to
+// back, and dst row r receives exactly MulRowHadamardInto32(dst_r, x,
+// y[r], t[r], b), bit for bit. Each 4-row quad of b is loaded once for
+// all four pairs, so the decoder weights stream from cache once per
+// four pairs instead of once per pair. The all-zero coefficient-quad
+// skip stays a per-row decision: a quad that is zero for some rows but
+// not all runs the one-row kernel on the live rows only.
+func MulRowsHadamard4Into32(dst, x []float32, y [4][]float32, t []float32, b *Dense32) {
+	d, n := len(x), b.cols
+	if len(t) != 4 || b.rows != d+1 || len(dst) != 4*n ||
+		len(y[0]) != d || len(y[1]) != d || len(y[2]) != d || len(y[3]) != d {
+		panic(fmt.Sprintf("mat: MulRowsHadamard4Into32 shape mismatch dst[%d] = concat(x[%d]⊙y[%d|%d|%d|%d], t[%d]) * %dx%d",
+			len(dst), d, len(y[0]), len(y[1]), len(y[2]), len(y[3]), len(t), b.rows, b.cols))
+	}
+	for j := range dst {
+		dst[j] = 0
+	}
+	var coef [16]float32
+	k := 0
+	for ; k+3 < d; k += 4 {
+		xq := (*[4]float32)(x[k:])
+		live := 0
+		for r := 0; r < 4; r++ {
+			yq := (*[4]float32)(y[r][k:])
+			c := (*[4]float32)(coef[4*r:])
+			c[0], c[1], c[2], c[3] = xq[0]*yq[0], xq[1]*yq[1], xq[2]*yq[2], xq[3]*yq[3]
+			if c[0] != 0 || c[1] != 0 || c[2] != 0 || c[3] != 0 {
+				live |= 1 << r
+			}
+		}
+		bq := b.data[k*n : (k+4)*n]
+		if live == 0xF {
+			mulAddRows4x4x32(dst, bq, &coef)
+			continue
+		}
+		for r := 0; r < 4; r++ {
+			if live&(1<<r) != 0 {
+				mulAddRows432(dst[r*n:(r+1)*n], bq, coef[4*r], coef[4*r+1], coef[4*r+2], coef[4*r+3])
+			}
+		}
+	}
+	for ; k < d; k++ {
+		for r := 0; r < 4; r++ {
+			if av := x[k] * y[r][k]; av != 0 {
+				mulAddRow132(dst[r*n:(r+1)*n], b.Row(k), av)
+			}
+		}
+	}
+	for r, tr := range t {
+		if tr != 0 {
+			mulAddRow132(dst[r*n:(r+1)*n], b.Row(d), tr)
+		}
+	}
+}

@@ -3,8 +3,9 @@ package mat
 // SIMD micro-kernels. The three accumulation patterns below are the
 // inner loops of every dense matmul kernel in this package:
 //
-//	mulAddRows4  dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
-//	mulAddRow1   dst[j] += a*b[j]
+//	mulAddRows4    dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
+//	mulAddRows4x4  mulAddRows4 for four dst rows sharing one b quad
+//	mulAddRow1     dst[j] += a*b[j]
 //	dot4         four-accumulator dot product (see dot4 in parallel.go)
 //	hadamardInto dst[i] = a[i]*b[i]
 //
@@ -30,6 +31,33 @@ func mulAddRows4Go(dst, b4 []float64, a0, a1, a2, a3 float64) {
 	b3 := b4[3*n : 4*n]
 	for j, bv := range b0 {
 		dst[j] += (a0*bv + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
+	}
+}
+
+// mulAddRows4x4Go is the scalar reference of the four-row
+// multiply-accumulate over four dst rows at once: dst holds four rows
+// of length n = len(dst)/4 back to back, b4 the four b-rows of length
+// n, and dst row r receives exactly mulAddRows4(dst_r, b4, a[4r],
+// a[4r+1], a[4r+2], a[4r+3]). Each b quad element is read once for
+// all four rows — the point of the kernel: a caller scoring four
+// inputs against one weight matrix streams the weights once, not four
+// times.
+func mulAddRows4x4Go(dst, b4 []float64, a *[16]float64) {
+	n := len(dst) / 4
+	b0 := b4[:n]
+	b1 := b4[n : 2*n]
+	b2 := b4[2*n : 3*n]
+	b3 := b4[3*n : 4*n]
+	d0 := dst[:n]
+	d1 := dst[n : 2*n]
+	d2 := dst[2*n : 3*n]
+	d3 := dst[3*n : 4*n]
+	for j, v0 := range b0 {
+		v1, v2, v3 := b1[j], b2[j], b3[j]
+		d0[j] += (a[0]*v0 + a[1]*v1) + (a[2]*v2 + a[3]*v3)
+		d1[j] += (a[4]*v0 + a[5]*v1) + (a[6]*v2 + a[7]*v3)
+		d2[j] += (a[8]*v0 + a[9]*v1) + (a[10]*v2 + a[11]*v3)
+		d3[j] += (a[12]*v0 + a[13]*v1) + (a[14]*v2 + a[15]*v3)
 	}
 }
 

@@ -5,6 +5,7 @@ package mat
 // f64 set (an AVX2 ymm holds 8 float32 lanes instead of 4 float64):
 //
 //	mulAddRows4x32   dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
+//	mulAddRows4x4x32 mulAddRows4x32 for four dst rows sharing one b quad
 //	mulAddRow1x32    dst[j] += a*b[j]
 //	dot8x32          eight-accumulator dot product
 //	addBiasLeakyx32  dst[i] = leaky(dst[i] + bias[i])
@@ -32,6 +33,29 @@ func mulAddRows4Go32(dst, b4 []float32, a0, a1, a2, a3 float32) {
 	b3 := b4[3*n : 4*n]
 	for j, bv := range b0 {
 		dst[j] += (a0*bv + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
+	}
+}
+
+// mulAddRows4x4Go32 is the scalar reference of the float32 four-row
+// multiply-accumulate over four dst rows at once — the twin of
+// mulAddRows4x4Go: dst row r receives exactly mulAddRows4Go32(dst_r,
+// b4, a[4r], a[4r+1], a[4r+2], a[4r+3]).
+func mulAddRows4x4Go32(dst, b4 []float32, a *[16]float32) {
+	n := len(dst) / 4
+	b0 := b4[:n]
+	b1 := b4[n : 2*n]
+	b2 := b4[2*n : 3*n]
+	b3 := b4[3*n : 4*n]
+	d0 := dst[:n]
+	d1 := dst[n : 2*n]
+	d2 := dst[2*n : 3*n]
+	d3 := dst[3*n : 4*n]
+	for j, v0 := range b0 {
+		v1, v2, v3 := b1[j], b2[j], b3[j]
+		d0[j] += (a[0]*v0 + a[1]*v1) + (a[2]*v2 + a[3]*v3)
+		d1[j] += (a[4]*v0 + a[5]*v1) + (a[6]*v2 + a[7]*v3)
+		d2[j] += (a[8]*v0 + a[9]*v1) + (a[10]*v2 + a[11]*v3)
+		d3[j] += (a[12]*v0 + a[13]*v1) + (a[14]*v2 + a[15]*v3)
 	}
 }
 

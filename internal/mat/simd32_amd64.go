@@ -14,6 +14,12 @@ func mulAddRows4AVX512F32(dst, b4 []float32, a0, a1, a2, a3 float32)
 func mulAddRows4AVX2F32(dst, b4 []float32, a0, a1, a2, a3 float32)
 
 //go:noescape
+func mulAddRows4x4AVX512F32(dst, b4 []float32, a *[16]float32)
+
+//go:noescape
+func mulAddRows4x4AVX2F32(dst, b4 []float32, a *[16]float32)
+
+//go:noescape
 func mulAddRow1AVX2F32(dst, b []float32, a float32)
 
 //go:noescape
@@ -36,6 +42,23 @@ func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
 		mulAddRows4AVX2F32(dst, b4, a0, a1, a2, a3)
 	default:
 		mulAddRows4Go32(dst, b4, a0, a1, a2, a3)
+	}
+}
+
+// mulAddRows4x4x32 is mulAddRows432 for four dst rows at once, the
+// float32 twin of mulAddRows4x4. Bitwise identical to four
+// mulAddRows432 calls at every level.
+func mulAddRows4x4x32(dst, b4 []float32, a *[16]float32) {
+	if len(dst)%4 != 0 || len(b4) < len(dst) {
+		panic("mat: mulAddRows4x4x32 needs four dst rows and 4*n b values")
+	}
+	switch {
+	case useAVX512 && len(dst) > 0:
+		mulAddRows4x4AVX512F32(dst, b4, a)
+	case useAVX2 && len(dst) > 0:
+		mulAddRows4x4AVX2F32(dst, b4, a)
+	default:
+		mulAddRows4x4Go32(dst, b4, a)
 	}
 }
 

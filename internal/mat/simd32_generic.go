@@ -12,6 +12,13 @@ func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
 	mulAddRows4Go32(dst, b4, a0, a1, a2, a3)
 }
 
+func mulAddRows4x4x32(dst, b4 []float32, a *[16]float32) {
+	if len(dst)%4 != 0 || len(b4) < len(dst) {
+		panic("mat: mulAddRows4x4x32 needs four dst rows and 4*n b values")
+	}
+	mulAddRows4x4Go32(dst, b4, a)
+}
+
 func mulAddRow132(dst, b []float32, a float32) {
 	mulAddRow1Go32(dst, b, a)
 }

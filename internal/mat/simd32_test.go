@@ -52,6 +52,24 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 				}
 			}
 
+			var a16 [16]float32
+			copy(a16[:], randSlice32(rng, 16))
+			dst4 := randSlice32(rng, 4*n)
+			want4 := append([]float32(nil), dst4...)
+			mulAddRows4x4Go32(want4, b4, &a16)
+			got4 := append([]float32(nil), dst4...)
+			mulAddRows4x4AVX2F32(got4, b4, &a16)
+			got4z := append([]float32(nil), want4...)
+			if cpuSupportsAVX512() {
+				copy(got4z, dst4)
+				mulAddRows4x4AVX512F32(got4z, b4, &a16)
+			}
+			for j := range want4 {
+				if math.Float32bits(got4[j]) != math.Float32bits(want4[j]) || math.Float32bits(got4z[j]) != math.Float32bits(want4[j]) {
+					t.Fatalf("mulAddRows4x4x32 n=%d row %d col %d: avx2 %v, avx512 %v != go %v", n, j/n, j%n, got4[j], got4z[j], want4[j])
+				}
+			}
+
 			b := randSlice32(rng, n)
 			dst = randSlice32(rng, n)
 			want = append(want[:0:0], dst...)
@@ -105,12 +123,60 @@ func TestMulRowHadamardInto32SIMDOnOff(t *testing.T) {
 		got := make([]float32, h)
 		want := make([]float32, h)
 		MulRowHadamardInto32(got, x, y, tv, b)
-		setSIMD(false)
+		prev := SIMD()
+		setSIMD("none")
 		MulRowHadamardInto32(want, x, y, tv, b)
-		setSIMD(true)
+		setSIMD(prev)
 		for j := range got {
 			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 				t.Fatalf("d=%d h=%d j=%d: simd %v != scalar %v", d, h, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestMulRowsHadamard4Into32MatchesMulRowHadamardInto32 checks the
+// four-pair fused projection against four MulRowHadamardInto32 calls,
+// bit for bit, at every SIMD level, with zero quads in every subset of
+// the four drug rows and zero treatment values.
+func TestMulRowsHadamard4Into32MatchesMulRowHadamardInto32(t *testing.T) {
+	levels := simdLevels(t)
+	rng := rand.New(rand.NewSource(23))
+	for si, sh := range fourRowShapes() {
+		d, n := sh[0]-1, sh[1]
+		if d < 1 {
+			continue
+		}
+		b := New32(d+1, n)
+		copy(b.data, randSlice32(rng, len(b.data)))
+		x := randSlice32(rng, d)
+		y4 := randSlice32(rng, 4*d)
+		zeroQuads(y4, d, si, b.data, n)
+		y := [4][]float32{y4[:d], y4[d : 2*d], y4[2*d : 3*d], y4[3*d:]}
+		tv := randSlice32(rng, 4)
+		tv[si%4] = 0
+
+		setSIMD("none")
+		ref := make([]float32, 4*n)
+		for r := 0; r < 4; r++ {
+			MulRowHadamardInto32(ref[r*n:(r+1)*n], x, y[r], tv[r], b)
+		}
+		for _, level := range levels {
+			setSIMD(level)
+			one := make([]float32, 4*n)
+			for r := 0; r < 4; r++ {
+				MulRowHadamardInto32(one[r*n:(r+1)*n], x, y[r], tv[r], b)
+			}
+			four := make([]float32, 4*n)
+			for i := range four {
+				four[i] = float32(math.NaN())
+			}
+			MulRowsHadamard4Into32(four, x, y, tv, b)
+			for j := range ref {
+				if math.Float32bits(four[j]) != math.Float32bits(ref[j]) || math.Float32bits(one[j]) != math.Float32bits(ref[j]) {
+					t.Fatalf("%s d=%d n=%d row %d col %d: MulRowsHadamard4Into32 %v, MulRowHadamardInto32 %v, scalar %v",
+						level, d, n, j/n, j%n, four[j], one[j], ref[j])
+				}
 			}
 		}
 	}

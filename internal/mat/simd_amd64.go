@@ -42,6 +42,12 @@ func mulAddRows4AVX512(dst, b4 []float64, a0, a1, a2, a3 float64)
 func mulAddRows4AVX2(dst, b4 []float64, a0, a1, a2, a3 float64)
 
 //go:noescape
+func mulAddRows4x4AVX512(dst, b4 []float64, a *[16]float64)
+
+//go:noescape
+func mulAddRows4x4AVX2(dst, b4 []float64, a *[16]float64)
+
+//go:noescape
 func mulAddRow1AVX2(dst, b []float64, a float64)
 
 //go:noescape
@@ -67,6 +73,24 @@ func mulAddRows4(dst, b4 []float64, a0, a1, a2, a3 float64) {
 		mulAddRows4AVX2(dst, b4, a0, a1, a2, a3)
 	default:
 		mulAddRows4Go(dst, b4, a0, a1, a2, a3)
+	}
+}
+
+// mulAddRows4x4 is mulAddRows4 for four dst rows at once: dst holds
+// four rows of length n = len(dst)/4 back to back, and row r receives
+// (a[4r]*b0[j] + a[4r+1]*b1[j]) + (a[4r+2]*b2[j] + a[4r+3]*b3[j]).
+// Bitwise identical to four mulAddRows4 calls at every level.
+func mulAddRows4x4(dst, b4 []float64, a *[16]float64) {
+	if len(dst)%4 != 0 || len(b4) < len(dst) {
+		panic("mat: mulAddRows4x4 needs four dst rows and 4*n b values")
+	}
+	switch {
+	case useAVX512 && len(dst) > 0:
+		mulAddRows4x4AVX512(dst, b4, a)
+	case useAVX2 && len(dst) > 0:
+		mulAddRows4x4AVX2(dst, b4, a)
+	default:
+		mulAddRows4x4Go(dst, b4, a)
 	}
 }
 
@@ -126,11 +150,13 @@ func SIMD() string {
 }
 
 // simdEnabled and setSIMD are test hooks: the equivalence tests force
-// the scalar path to prove it produces the same bits. Not safe to
-// flip while kernels are running on other goroutines.
+// each level to prove they all produce the same bits. setSIMD takes a
+// SIMD() name ("avx512", "avx2" or "none") and caps the level there,
+// within what the CPU supports. Not safe to flip while kernels are
+// running on other goroutines.
 func simdEnabled() bool { return useAVX2 }
 
-func setSIMD(on bool) {
-	useAVX2 = on && cpuSupportsAVX2()
-	useAVX512 = useAVX2 && cpuSupportsAVX512()
+func setSIMD(level string) {
+	useAVX2 = level != "none" && cpuSupportsAVX2()
+	useAVX512 = level == "avx512" && useAVX2 && cpuSupportsAVX512()
 }

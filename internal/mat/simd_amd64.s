@@ -770,3 +770,409 @@ m512f_tail:
 
 m512f_done:
 	RET
+
+// ---------------------------------------------------------------------
+// Four-row kernels: mulAddRows4 for four dst rows sharing one b quad.
+// dst holds four rows of length n = len(dst)/4 back to back, b4 the
+// four b-rows of length n, and a the four rows' coefficient quads
+// (a[4r..4r+3] for dst row r). Every b vector is loaded once and feeds
+// all four rows, so a caller streaming a weight matrix for four inputs
+// reads it once instead of four times. Per output element the
+// multiply/add sequence is exactly mulAddRows4's, so each dst row is
+// bitwise identical to a mulAddRows4 call on it.
+
+// M44_ROW_AVX2 accumulates dst row d += (c0*b0 + c1*b1) + (c2*b2 +
+// c3*b3) over one ymm of lanes, with b0..b3 in Y0..Y3 and the row's
+// coefficients (elements of sz bytes) at byte offset c of R8,
+// broadcast from memory. Sixteen ymm registers cannot hold sixteen
+// broadcasts next to the b vectors and temporaries, so the AVX2
+// kernels keep rows 0 and 1's coefficients in Y8..Y15 (M44_ROW_AVX2R)
+// and broadcast rows 2 and 3's on every step. BCAST/MUL/ADD/MOV are
+// the f64 (VBROADCASTSD, VMULPD, VADDPD, VMOVUPD) or f32
+// (VBROADCASTSS, VMULPS, VADDPS, VMOVUPS) instructions.
+#define M44_ROW_AVX2(BCAST, MUL, ADD, MOV, sz, c, d) \
+	BCAST (c)(R8), Y4;      \
+	MUL   Y0, Y4, Y4;       \
+	BCAST (c+sz)(R8), Y5;   \
+	MUL   Y1, Y5, Y5;       \
+	ADD   Y5, Y4, Y4;       \
+	BCAST (c+2*sz)(R8), Y5; \
+	MUL   Y2, Y5, Y5;       \
+	BCAST (c+3*sz)(R8), Y6; \
+	MUL   Y3, Y6, Y6;       \
+	ADD   Y6, Y5, Y5;       \
+	ADD   Y5, Y4, Y4;       \
+	MOV   d, Y6;            \
+	ADD   Y4, Y6, Y6;       \
+	MOV   Y6, d
+
+// M44_ROW_AVX2R is M44_ROW_AVX2 with the row's four coefficient
+// broadcasts already in registers c0..c3.
+#define M44_ROW_AVX2R(MUL, ADD, MOV, c0, c1, c2, c3, d) \
+	MUL Y0, c0, Y4; \
+	MUL Y1, c1, Y5; \
+	ADD Y5, Y4, Y4; \
+	MUL Y2, c2, Y5; \
+	MUL Y3, c3, Y6; \
+	ADD Y6, Y5, Y5; \
+	ADD Y5, Y4, Y4; \
+	MOV d, Y6;      \
+	ADD Y4, Y6, Y6; \
+	MOV Y6, d
+
+// M44_ROW_SSE is the scalar-tail form of M44_ROW_AVX2, with b0..b3 in
+// X0..X3 and MOVS/MULS/ADDS the f64 (MOVSD, MULSD, ADDSD) or f32
+// (MOVSS, MULSS, ADDSS) instructions.
+#define M44_ROW_SSE(MOVS, MULS, ADDS, sz, c, d) \
+	MOVS (c)(R8), X4;      \
+	MULS X0, X4;           \
+	MOVS (c+sz)(R8), X5;   \
+	MULS X1, X5;           \
+	ADDS X5, X4;           \
+	MOVS (c+2*sz)(R8), X5; \
+	MULS X2, X5;           \
+	MOVS (c+3*sz)(R8), X6; \
+	MULS X3, X6;           \
+	ADDS X6, X5;           \
+	ADDS X5, X4;           \
+	MOVS d, X6;            \
+	ADDS X4, X6;           \
+	MOVS X6, d
+
+// func mulAddRows4x4AVX2(dst, b4 []float64, a *[16]float64)
+TEXT ·mulAddRows4x4AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), SI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b4_base+24(FP), DI
+	MOVQ a+48(FP), R8
+	SHRQ $2, CX              // CX = n
+	MOVQ CX, DX
+	SHLQ $3, DX              // DX = row stride in bytes
+	LEAQ (DI)(DX*2), R9      // R9 = b row 2
+	LEAQ (SI)(DX*2), R10     // R10 = dst row 2
+
+	VBROADCASTSD 0(R8), Y8
+	VBROADCASTSD 8(R8), Y9
+	VBROADCASTSD 16(R8), Y10
+	VBROADCASTSD 24(R8), Y11
+	VBROADCASTSD 32(R8), Y12
+	VBROADCASTSD 40(R8), Y13
+	VBROADCASTSD 48(R8), Y14
+	VBROADCASTSD 56(R8), Y15
+
+	CMPQ CX, $4
+	JL   m44_tail_start
+
+m44_loop:
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(DX*1), Y1
+	VMOVUPD (R9), Y2
+	VMOVUPD (R9)(DX*1), Y3
+	M44_ROW_AVX2R(VMULPD, VADDPD, VMOVUPD, Y8, Y9, Y10, Y11, (SI))
+	M44_ROW_AVX2R(VMULPD, VADDPD, VMOVUPD, Y12, Y13, Y14, Y15, (SI)(DX*1))
+	M44_ROW_AVX2(VBROADCASTSD, VMULPD, VADDPD, VMOVUPD, 8, 64, (R10))
+	M44_ROW_AVX2(VBROADCASTSD, VMULPD, VADDPD, VMOVUPD, 8, 96, (R10)(DX*1))
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JGE     m44_loop
+
+m44_tail_start:
+	VZEROUPPER
+	TESTQ CX, CX
+	JZ    m44_done
+
+m44_tail:
+	MOVSD (DI), X0
+	MOVSD (DI)(DX*1), X1
+	MOVSD (R9), X2
+	MOVSD (R9)(DX*1), X3
+	M44_ROW_SSE(MOVSD, MULSD, ADDSD, 8, 0, (SI))
+	M44_ROW_SSE(MOVSD, MULSD, ADDSD, 8, 32, (SI)(DX*1))
+	M44_ROW_SSE(MOVSD, MULSD, ADDSD, 8, 64, (R10))
+	M44_ROW_SSE(MOVSD, MULSD, ADDSD, 8, 96, (R10)(DX*1))
+	ADDQ  $8, SI
+	ADDQ  $8, DI
+	ADDQ  $8, R9
+	ADDQ  $8, R10
+	DECQ  CX
+	JNZ   m44_tail
+
+m44_done:
+	RET
+
+// M44_SUM_Z computes Z4 = (c0*b0 + c1*b1) + (c2*b2 + c3*b3) over one
+// zmm of lanes, with b0..b3 in Z0..Z3 and MUL/ADD the f64 (VMULPD,
+// VADDPD) or f32 (VMULPS, VADDPS) instructions.
+#define M44_SUM_Z(MUL, ADD, c0, c1, c2, c3) \
+	MUL Z0, c0, Z4; \
+	MUL Z1, c1, Z5; \
+	ADD Z5, Z4, Z4; \
+	MUL Z2, c2, Z5; \
+	MUL Z3, c3, Z6; \
+	ADD Z6, Z5, Z5; \
+	ADD Z5, Z4, Z4
+
+// func mulAddRows4x4AVX512(dst, b4 []float64, a *[16]float64)
+//
+// The 512-bit flavor: the sixteen coefficients live in Z16..Z31 for
+// the whole call, 8 lanes per step, and the last n%8 lanes run one
+// masked step (masked-off lanes are neither loaded nor stored), so
+// every element still sees the identical multiply/add sequence.
+TEXT ·mulAddRows4x4AVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), SI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b4_base+24(FP), DI
+	MOVQ a+48(FP), R8
+	SHRQ $2, CX              // CX = n
+	MOVQ CX, DX
+	SHLQ $3, DX              // DX = row stride in bytes
+	LEAQ (DI)(DX*2), R9      // R9 = b row 2
+	LEAQ (SI)(DX*2), R10     // R10 = dst row 2
+
+	VBROADCASTSD 0(R8), Z16
+	VBROADCASTSD 8(R8), Z17
+	VBROADCASTSD 16(R8), Z18
+	VBROADCASTSD 24(R8), Z19
+	VBROADCASTSD 32(R8), Z20
+	VBROADCASTSD 40(R8), Z21
+	VBROADCASTSD 48(R8), Z22
+	VBROADCASTSD 56(R8), Z23
+	VBROADCASTSD 64(R8), Z24
+	VBROADCASTSD 72(R8), Z25
+	VBROADCASTSD 80(R8), Z26
+	VBROADCASTSD 88(R8), Z27
+	VBROADCASTSD 96(R8), Z28
+	VBROADCASTSD 104(R8), Z29
+	VBROADCASTSD 112(R8), Z30
+	VBROADCASTSD 120(R8), Z31
+
+	CMPQ CX, $8
+	JL   m44z_rem
+
+m44z_loop:
+	VMOVUPD (DI), Z0
+	VMOVUPD (DI)(DX*1), Z1
+	VMOVUPD (R9), Z2
+	VMOVUPD (R9)(DX*1), Z3
+	M44_SUM_Z(VMULPD, VADDPD, Z16, Z17, Z18, Z19)
+	VMOVUPD (SI), Z6
+	VADDPD  Z4, Z6, Z6
+	VMOVUPD Z6, (SI)
+	M44_SUM_Z(VMULPD, VADDPD, Z20, Z21, Z22, Z23)
+	VMOVUPD (SI)(DX*1), Z6
+	VADDPD  Z4, Z6, Z6
+	VMOVUPD Z6, (SI)(DX*1)
+	M44_SUM_Z(VMULPD, VADDPD, Z24, Z25, Z26, Z27)
+	VMOVUPD (R10), Z6
+	VADDPD  Z4, Z6, Z6
+	VMOVUPD Z6, (R10)
+	M44_SUM_Z(VMULPD, VADDPD, Z28, Z29, Z30, Z31)
+	VMOVUPD (R10)(DX*1), Z6
+	VADDPD  Z4, Z6, Z6
+	VMOVUPD Z6, (R10)(DX*1)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     m44z_loop
+
+m44z_rem:
+	TESTQ CX, CX
+	JZ    m44z_done
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1             // K1 = the n%8 live lanes
+
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z (DI)(DX*1), K1, Z1
+	VMOVUPD.Z (R9), K1, Z2
+	VMOVUPD.Z (R9)(DX*1), K1, Z3
+	M44_SUM_Z(VMULPD, VADDPD, Z16, Z17, Z18, Z19)
+	VMOVUPD.Z (SI), K1, Z6
+	VADDPD    Z4, Z6, Z6
+	VMOVUPD   Z6, K1, (SI)
+	M44_SUM_Z(VMULPD, VADDPD, Z20, Z21, Z22, Z23)
+	VMOVUPD.Z (SI)(DX*1), K1, Z6
+	VADDPD    Z4, Z6, Z6
+	VMOVUPD   Z6, K1, (SI)(DX*1)
+	M44_SUM_Z(VMULPD, VADDPD, Z24, Z25, Z26, Z27)
+	VMOVUPD.Z (R10), K1, Z6
+	VADDPD    Z4, Z6, Z6
+	VMOVUPD   Z6, K1, (R10)
+	M44_SUM_Z(VMULPD, VADDPD, Z28, Z29, Z30, Z31)
+	VMOVUPD.Z (R10)(DX*1), K1, Z6
+	VADDPD    Z4, Z6, Z6
+	VMOVUPD   Z6, K1, (R10)(DX*1)
+
+m44z_done:
+	VZEROUPPER
+	RET
+
+// func mulAddRows4x4AVX2F32(dst, b4 []float32, a *[16]float32)
+TEXT ·mulAddRows4x4AVX2F32(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), SI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b4_base+24(FP), DI
+	MOVQ a+48(FP), R8
+	SHRQ $2, CX              // CX = n
+	MOVQ CX, DX
+	SHLQ $2, DX              // DX = row stride in bytes
+	LEAQ (DI)(DX*2), R9      // R9 = b row 2
+	LEAQ (SI)(DX*2), R10     // R10 = dst row 2
+
+	VBROADCASTSS 0(R8), Y8
+	VBROADCASTSS 4(R8), Y9
+	VBROADCASTSS 8(R8), Y10
+	VBROADCASTSS 12(R8), Y11
+	VBROADCASTSS 16(R8), Y12
+	VBROADCASTSS 20(R8), Y13
+	VBROADCASTSS 24(R8), Y14
+	VBROADCASTSS 28(R8), Y15
+
+	CMPQ CX, $8
+	JL   m44f_tail_start
+
+m44f_loop:
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(DX*1), Y1
+	VMOVUPS (R9), Y2
+	VMOVUPS (R9)(DX*1), Y3
+	M44_ROW_AVX2R(VMULPS, VADDPS, VMOVUPS, Y8, Y9, Y10, Y11, (SI))
+	M44_ROW_AVX2R(VMULPS, VADDPS, VMOVUPS, Y12, Y13, Y14, Y15, (SI)(DX*1))
+	M44_ROW_AVX2(VBROADCASTSS, VMULPS, VADDPS, VMOVUPS, 4, 32, (R10))
+	M44_ROW_AVX2(VBROADCASTSS, VMULPS, VADDPS, VMOVUPS, 4, 48, (R10)(DX*1))
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     m44f_loop
+
+m44f_tail_start:
+	VZEROUPPER
+	TESTQ CX, CX
+	JZ    m44f_done
+
+m44f_tail:
+	MOVSS (DI), X0
+	MOVSS (DI)(DX*1), X1
+	MOVSS (R9), X2
+	MOVSS (R9)(DX*1), X3
+	M44_ROW_SSE(MOVSS, MULSS, ADDSS, 4, 0, (SI))
+	M44_ROW_SSE(MOVSS, MULSS, ADDSS, 4, 16, (SI)(DX*1))
+	M44_ROW_SSE(MOVSS, MULSS, ADDSS, 4, 32, (R10))
+	M44_ROW_SSE(MOVSS, MULSS, ADDSS, 4, 48, (R10)(DX*1))
+	ADDQ  $4, SI
+	ADDQ  $4, DI
+	ADDQ  $4, R9
+	ADDQ  $4, R10
+	DECQ  CX
+	JNZ   m44f_tail
+
+m44f_done:
+	RET
+
+// func mulAddRows4x4AVX512F32(dst, b4 []float32, a *[16]float32)
+//
+// The 512-bit float32 flavor: coefficients in Z16..Z31, 16 lanes per
+// step, one masked step for the last n%16 lanes.
+TEXT ·mulAddRows4x4AVX512F32(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), SI
+	MOVQ dst_len+8(FP), CX
+	MOVQ b4_base+24(FP), DI
+	MOVQ a+48(FP), R8
+	SHRQ $2, CX              // CX = n
+	MOVQ CX, DX
+	SHLQ $2, DX              // DX = row stride in bytes
+	LEAQ (DI)(DX*2), R9      // R9 = b row 2
+	LEAQ (SI)(DX*2), R10     // R10 = dst row 2
+
+	VBROADCASTSS 0(R8), Z16
+	VBROADCASTSS 4(R8), Z17
+	VBROADCASTSS 8(R8), Z18
+	VBROADCASTSS 12(R8), Z19
+	VBROADCASTSS 16(R8), Z20
+	VBROADCASTSS 20(R8), Z21
+	VBROADCASTSS 24(R8), Z22
+	VBROADCASTSS 28(R8), Z23
+	VBROADCASTSS 32(R8), Z24
+	VBROADCASTSS 36(R8), Z25
+	VBROADCASTSS 40(R8), Z26
+	VBROADCASTSS 44(R8), Z27
+	VBROADCASTSS 48(R8), Z28
+	VBROADCASTSS 52(R8), Z29
+	VBROADCASTSS 56(R8), Z30
+	VBROADCASTSS 60(R8), Z31
+
+	CMPQ CX, $16
+	JL   m44zf_rem
+
+m44zf_loop:
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(DX*1), Z1
+	VMOVUPS (R9), Z2
+	VMOVUPS (R9)(DX*1), Z3
+	M44_SUM_Z(VMULPS, VADDPS, Z16, Z17, Z18, Z19)
+	VMOVUPS (SI), Z6
+	VADDPS  Z4, Z6, Z6
+	VMOVUPS Z6, (SI)
+	M44_SUM_Z(VMULPS, VADDPS, Z20, Z21, Z22, Z23)
+	VMOVUPS (SI)(DX*1), Z6
+	VADDPS  Z4, Z6, Z6
+	VMOVUPS Z6, (SI)(DX*1)
+	M44_SUM_Z(VMULPS, VADDPS, Z24, Z25, Z26, Z27)
+	VMOVUPS (R10), Z6
+	VADDPS  Z4, Z6, Z6
+	VMOVUPS Z6, (R10)
+	M44_SUM_Z(VMULPS, VADDPS, Z28, Z29, Z30, Z31)
+	VMOVUPS (R10)(DX*1), Z6
+	VADDPS  Z4, Z6, Z6
+	VMOVUPS Z6, (R10)(DX*1)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     m44zf_loop
+
+m44zf_rem:
+	TESTQ CX, CX
+	JZ    m44zf_done
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1             // K1 = the n%16 live lanes
+
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z (DI)(DX*1), K1, Z1
+	VMOVUPS.Z (R9), K1, Z2
+	VMOVUPS.Z (R9)(DX*1), K1, Z3
+	M44_SUM_Z(VMULPS, VADDPS, Z16, Z17, Z18, Z19)
+	VMOVUPS.Z (SI), K1, Z6
+	VADDPS    Z4, Z6, Z6
+	VMOVUPS   Z6, K1, (SI)
+	M44_SUM_Z(VMULPS, VADDPS, Z20, Z21, Z22, Z23)
+	VMOVUPS.Z (SI)(DX*1), K1, Z6
+	VADDPS    Z4, Z6, Z6
+	VMOVUPS   Z6, K1, (SI)(DX*1)
+	M44_SUM_Z(VMULPS, VADDPS, Z24, Z25, Z26, Z27)
+	VMOVUPS.Z (R10), K1, Z6
+	VADDPS    Z4, Z6, Z6
+	VMOVUPS   Z6, K1, (R10)
+	M44_SUM_Z(VMULPS, VADDPS, Z28, Z29, Z30, Z31)
+	VMOVUPS.Z (R10)(DX*1), K1, Z6
+	VADDPS    Z4, Z6, Z6
+	VMOVUPS   Z6, K1, (R10)(DX*1)
+
+m44zf_done:
+	VZEROUPPER
+	RET

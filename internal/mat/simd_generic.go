@@ -13,6 +13,13 @@ func mulAddRows4(dst, b4 []float64, a0, a1, a2, a3 float64) {
 	mulAddRows4Go(dst, b4, a0, a1, a2, a3)
 }
 
+func mulAddRows4x4(dst, b4 []float64, a *[16]float64) {
+	if len(dst)%4 != 0 || len(b4) < len(dst) {
+		panic("mat: mulAddRows4x4 needs four dst rows and 4*n b values")
+	}
+	mulAddRows4x4Go(dst, b4, a)
+}
+
 func mulAddRow1(dst, b []float64, a float64) { mulAddRow1Go(dst, b, a) }
 
 func dot4(a, b []float64) float64 { return dot4Go(a, b) }
@@ -33,4 +40,4 @@ func SIMD() string { return "none" }
 
 func simdEnabled() bool { return false }
 
-func setSIMD(bool) {}
+func setSIMD(string) {}

@@ -52,6 +52,24 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 				}
 			}
 
+			var a16 [16]float64
+			copy(a16[:], randSlice(rng, 16))
+			dst4 := randSlice(rng, 4*n)
+			want4 := append([]float64(nil), dst4...)
+			mulAddRows4x4Go(want4, b4, &a16)
+			got4 := append([]float64(nil), dst4...)
+			mulAddRows4x4AVX2(got4, b4, &a16)
+			got4z := append([]float64(nil), want4...)
+			if cpuSupportsAVX512() {
+				copy(got4z, dst4)
+				mulAddRows4x4AVX512(got4z, b4, &a16)
+			}
+			for j := range want4 {
+				if math.Float64bits(got4[j]) != math.Float64bits(want4[j]) || math.Float64bits(got4z[j]) != math.Float64bits(want4[j]) {
+					t.Fatalf("mulAddRows4x4 n=%d row %d col %d: avx2 %v, avx512 %v != go %v", n, j/n, j%n, got4[j], got4z[j], want4[j])
+				}
+			}
+
 			b := randSlice(rng, n)
 			dst = randSlice(rng, n)
 			want = append(want[:0:0], dst...)
@@ -128,11 +146,106 @@ func TestMatMulSIMDOnOffBitwise(t *testing.T) {
 			return [5]*Dense{MatMul(a, b), MatMulTransA(a, c), MatMulTransB(a, bt), Hadamard(c, c), add}
 		}
 		got := run()
-		setSIMD(false)
+		prev := SIMD()
+		setSIMD("none")
 		want := run()
-		setSIMD(true)
+		setSIMD(prev)
 		for i, name := range []string{"MatMul", "MatMulTransA", "MatMulTransB", "Hadamard", "AddScaled"} {
 			denseBitsEqual(t, name, got[i], want[i])
+		}
+	}
+}
+
+// simdLevels returns the kernel levels this CPU can run ("avx512",
+// "avx2", "none" — best first) and restores the entry level when the
+// test ends, so a DSSDDI_SIMD cap survives the test.
+func simdLevels(t *testing.T) []string {
+	t.Helper()
+	prev := SIMD()
+	t.Cleanup(func() { setSIMD(prev) })
+	var levels []string
+	for _, l := range []string{"avx512", "avx2", "none"} {
+		setSIMD(l)
+		if SIMD() == l {
+			levels = append(levels, l)
+		}
+	}
+	setSIMD(prev)
+	return levels
+}
+
+// fourRowShapes are the (K, n) shapes of the four-row kernel tests:
+// every n in 1..67 (all vector step and tail sizes at every level)
+// against K ≡ 0..3 mod 4 below and above blockK, plus the decoder's
+// real 385x384 layer-1 shape.
+func fourRowShapes() [][2]int {
+	var shapes [][2]int
+	for n := 1; n <= 67; n++ {
+		for _, k := range []int{1, 2, 3, 4, 6, 13, 64, 129, 130, 131, 132} {
+			shapes = append(shapes, [2]int{k, n})
+		}
+	}
+	return append(shapes, [2]int{385, 384})
+}
+
+// zeroQuads zeroes quad q (elements 4q..4q+3) of row r of the four
+// back-to-back rows of length k whenever bit r of (q+salt)%16 is set,
+// so consecutive quads cycle through every subset of zero rows —
+// including the mixed ones (1, 2 or 3 of the four rows zero) that take
+// the per-row fallback. It also plants +Inf in the weight matrix w
+// (k rows of n) on the first row of every mixed quad: a zero quad that
+// were multiplied instead of skipped would turn 0*Inf into NaN, so the
+// skip decision shows in the output bits.
+func zeroQuads[T float32 | float64](rows []T, k, salt int, w []T, n int) {
+	for q := 0; 4*q+3 < k; q++ {
+		mask := (q + salt) % 16
+		for r := 0; r < 4; r++ {
+			if mask&(1<<r) != 0 {
+				clear(rows[r*k+4*q : r*k+4*q+4])
+			}
+		}
+		if mask != 0 && mask != 0xF {
+			w[4*q*n+q%n] = T(math.Inf(1))
+		}
+	}
+}
+
+// TestMulRows4IntoMatchesMulRowInto checks the four-row kernel against
+// four MulRowInto calls, bit for bit, at every SIMD level: each level's
+// four-row and one-row results must both equal the scalar one-row
+// result.
+func TestMulRows4IntoMatchesMulRowInto(t *testing.T) {
+	levels := simdLevels(t)
+	rng := rand.New(rand.NewSource(17))
+	for si, sh := range fourRowShapes() {
+		k, n := sh[0], sh[1]
+		b := New(k, n)
+		copy(b.data, randSlice(rng, len(b.data)))
+		a := randSlice(rng, 4*k)
+		zeroQuads(a, k, si, b.data, n)
+
+		setSIMD("none")
+		ref := make([]float64, 4*n)
+		for r := 0; r < 4; r++ {
+			MulRowInto(ref[r*n:(r+1)*n], a[r*k:(r+1)*k], b)
+		}
+		for _, level := range levels {
+			setSIMD(level)
+			one := make([]float64, 4*n)
+			for r := 0; r < 4; r++ {
+				MulRowInto(one[r*n:(r+1)*n], a[r*k:(r+1)*k], b)
+			}
+			four := make([]float64, 4*n)
+			for i := range four {
+				four[i] = math.NaN() // MulRows4Into must overwrite, not accumulate
+			}
+			MulRows4Into(four, a, b)
+			for j := range ref {
+				if math.Float64bits(four[j]) != math.Float64bits(ref[j]) || math.Float64bits(one[j]) != math.Float64bits(ref[j]) {
+					t.Fatalf("%s K=%d n=%d row %d col %d: MulRows4Into %v, MulRowInto %v, scalar MulRowInto %v",
+						level, k, n, j/n, j%n, four[j], one[j], ref[j])
+				}
+			}
 		}
 	}
 }

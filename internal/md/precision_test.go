@@ -234,6 +234,7 @@ func TestQuantizedScoringAllocBudget(t *testing.T) {
 	if raceEnabled {
 		slack = 4
 	}
+	requireTileTail(t, m)
 	dst := mat.New(1, m.Data.NumDrugs())
 	patients := []int{m.Data.Test[0]}
 	m.ScoresInto(dst, patients)

@@ -18,23 +18,32 @@ import (
 // intermediates — gathered patient rows, gathered drug rows and their
 // Hadamard product — plus a (P·nD × dim+1) concatenation, before a
 // single decoder forward. The engine instead walks (patient, drug
-// tile) units and decodes each pair through nn.PairDecoder: one
-// dim+1 scratch row replaces all four matrices, so peak memory is
-// O(tile) instead of O(P·nD·dim) and the steady state allocates
-// nothing (scratch is pooled and reused across calls).
+// tile) units and decodes the drugs of a tile four at a time through
+// nn.PairDecoder.Logits4: four dim+1 scratch rows replace all four
+// matrices, so peak memory is O(tile) instead of O(P·nD·dim) and the
+// steady state allocates nothing (scratch is pooled and reused across
+// calls). Four drugs share each pass over the decoder's layer-1
+// weights (mat.MulRows4Into): at serving widths those weights do not
+// fit in L1 (385x384 f64 is 1.18 MB), and one pass per drug re-read
+// them from L2 for every drug.
 //
 // At F64 every pair's value is bitwise identical to the reference path
 // for any worker count: the fused kernels reproduce the batched kernels'
 // per-element accumulation order exactly (see mat.MulRowInto and
 // nn.PairDecoder), units partition the output disjointly, and the
-// equivalence tests in score_test.go enforce it.
+// equivalence tests in score_test.go enforce it. Grouping drugs does
+// not change that: each drug's hidden row sees the identical k-blocked
+// quad order, and the all-zero quad skip is still decided per drug
+// (mat.MulRows4Into falls back to the one-row kernel for the live rows
+// of a quad that is zero for only some of the four).
 //
 // The same walk serves the f32 representation SetPrecision derives.
 // Precision decides exactly two things: the per-patient operands
 // (embedRow: f64 hidden row and treatment row, or both narrowed to
 // f32) and the per-tile logit call (logitTile: nn.PairDecoder or the
-// fused eight-lane nn.PairDecoder32). Everything else — the tile walk,
-// the exp-skipping top-k selection and the pooled scratch — is shared.
+// fused eight-lane nn.PairDecoder32, both four drugs per call).
+// Everything else — the tile walk, the exp-skipping top-k selection
+// and the pooled scratch — is shared.
 // Logits come back as float64 at either precision, so the selector,
 // the sigmoid and every caller-visible type are unchanged. The f32
 // path has no bitwise guarantee against the reference; it is
@@ -45,7 +54,10 @@ import (
 // drugTile is the drug-tile width of the scoring engine: one tile of
 // final drug representations (64 rows of Hidden floats) stays
 // cache-hot while a unit scores it, and it is the granularity at
-// which TopKScores folds scores into its running selection.
+// which TopKScores folds scores into its running selection. Within a
+// tile, drugs go through in groups of four (one layer-1 weight pass
+// per group); only the tail of the last tile, nD%4 drugs, is scored
+// one at a time.
 const drugTile = 64
 
 // scoreScratch is the per-goroutine working set of the engine: the
@@ -74,9 +86,9 @@ func (m *Model) getScratch() *scoreScratch {
 			hp32:  make([]float32, m.fcPat.OutDim()),
 			buf1:  make([]float64, w),
 			buf2:  make([]float64, w),
-			inter: make([]float64, d+1),
-			hid:   make([]float64, h),
-			hid32: make([]float32, h),
+			inter: make([]float64, 4*(d+1)),
+			hid:   make([]float64, 4*h),
+			hid32: make([]float32, 4*h),
 			tile:  make([]float64, drugTile),
 		}
 	}
@@ -107,15 +119,28 @@ func (m *Model) embedRow(sc *scoreScratch, p int) PatientEmbedding {
 // patient e into dst — through the f64 kernel over hDrug, or through
 // the fused f32 kernel over the narrowed drug matrix on a quantized
 // model. It is the engine's only precision branch on the scoring side.
+// Drugs go through in groups of four (Logits4: one pass over the
+// layer-1 weights per group); a tile tail of fewer than four drugs
+// takes the one-pair Logit. Both produce the same bits per drug.
 func (m *Model) logitTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, e *PatientEmbedding, vLo int) {
+	i := 0
 	if m.pd32 != nil {
-		for i := range dst {
+		c := m.drugCache32
+		for ; i+4 <= len(dst); i += 4 {
 			v := vLo + i
-			dst[i] = m.pd32.Logit(e.H32, m.drugCache32.Row(v), e.T32[v], sc.hid32)
+			m.pd32.Logits4(dst[i:i+4], e.H32, [4][]float32{c.Row(v), c.Row(v + 1), c.Row(v + 2), c.Row(v + 3)}, e.T32[v:v+4], sc.hid32)
+		}
+		for ; i < len(dst); i++ {
+			v := vLo + i
+			dst[i] = m.pd32.Logit(e.H32, c.Row(v), e.T32[v], sc.hid32)
 		}
 		return
 	}
-	for i := range dst {
+	for ; i+4 <= len(dst); i += 4 {
+		v := vLo + i
+		m.pd.Logits4(dst[i:i+4], e.H, [4][]float64{hDrug.Row(v), hDrug.Row(v + 1), hDrug.Row(v + 2), hDrug.Row(v + 3)}, e.T[v:v+4], sc.inter, sc.hid)
+	}
+	for ; i < len(dst); i++ {
 		v := vLo + i
 		dst[i] = m.pd.Logit(e.H, hDrug.Row(v), e.T[v], sc.inter, sc.hid)
 	}

@@ -4,9 +4,9 @@ package md
 // single-patient path and the TopKScores cold-suggest path (the
 // numbers behind the README's cold-path table), at both precisions.
 // Serial workers keep allocs/op deterministic.
-// BenchmarkTopKPrecisionWidths sweeps the representation width so the
-// f32:f64 kernel ratio can be read at the widths the serve smoke
-// trains at.
+// BenchmarkTopKPrecisionWidths sweeps the representation width up to
+// 384, the width the serve smoke and the repo benchmark train at, so
+// the f32:f64 kernel ratio can be read at the serving width.
 
 import (
 	"fmt"
@@ -78,7 +78,7 @@ func BenchmarkTopKOnePatientF32(b *testing.B) {
 }
 
 func BenchmarkTopKPrecisionWidths(b *testing.B) {
-	for _, hidden := range []int{48, 96, 192} {
+	for _, hidden := range []int{48, 96, 192, 384} {
 		mat.SetWorkers(1)
 		d := smallDataset(31)
 		cfg := DefaultConfig()

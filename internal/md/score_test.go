@@ -158,6 +158,7 @@ func TestScoringAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		slack = 4
 	}
+	requireTileTail(t, m)
 	dst := mat.New(1, m.Data.NumDrugs())
 	patients := []int{p}
 	m.ScoresInto(dst, patients) // warm the pools
@@ -168,6 +169,16 @@ func TestScoringAllocBudgets(t *testing.T) {
 	m.TopKScores(p, 4)
 	if got := testing.AllocsPerRun(20, func() { m.TopKScores(p, 4) }); got > 8+slack {
 		t.Fatalf("TopKScores allocates %.1f objects, budget 8", got)
+	}
+}
+
+// requireTileTail pins the alloc-budget fixture to a drug count whose
+// last tile ends in a 1–3 drug tail, so the budgets cover both the
+// four-drug Logits4 groups and the one-drug Logit tail.
+func requireTileTail(t *testing.T, m *Model) {
+	t.Helper()
+	if tail := m.Data.NumDrugs() % drugTile % 4; tail == 0 {
+		t.Fatalf("%d drugs leave no 1–3 drug tile tail", m.Data.NumDrugs())
 	}
 }
 

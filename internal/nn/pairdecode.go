@@ -80,6 +80,36 @@ func (p *PairDecoder) Logit(a, b []float64, t float64, inter, hid []float64) flo
 
 	hid = hid[:p.h]
 	mat.MulRowInto(hid, inter, p.w1)
+	return p.output(hid, inter[:1]) // layer-1 input is dead; reuse its scratch
+}
+
+// Logits4 scores the four pairs (a, b[r], t[r]) that share the operand
+// a into out[0..3], each bitwise equal to Logit(a, b[r], t[r]). The
+// four layer-1 projections run as one mat.MulRows4Into pass, so the
+// (d+1) x h layer-1 weights stream from cache once per four pairs
+// instead of once per pair. inter (length ≥ 4(d+1)) and hid (length ≥
+// 4h) are caller-owned scratch, clobbered on every call; nothing
+// allocates.
+func (p *PairDecoder) Logits4(out, a []float64, b [4][]float64, t, inter, hid []float64) {
+	d1 := p.d + 1
+	inter = inter[:4*d1]
+	for r := 0; r < 4; r++ {
+		row := inter[r*d1 : (r+1)*d1]
+		mat.HadamardRowInto(row[:p.d], a[:p.d], b[r][:p.d])
+		row[p.d] = t[r]
+	}
+
+	hid = hid[:4*p.h]
+	mat.MulRows4Into(hid, inter, p.w1)
+	for r := range out[:4] {
+		out[r] = p.output(hid[r*p.h:(r+1)*p.h], inter[r*d1:r*d1+1])
+	}
+}
+
+// output finishes one pair from its layer-1 pre-activation row hid:
+// bias, hidden activation, then the scalar output layer, with out1
+// (length 1) as that layer's scratch.
+func (p *PairDecoder) output(hid, out1 []float64) float64 {
 	if p.act == ActLeakyReLU {
 		// One fused, branch-free pass over the hidden row; identical
 		// element formulas to the separate bias add + activation.
@@ -90,8 +120,6 @@ func (p *PairDecoder) Logit(a, b []float64, t float64, inter, hid []float64) flo
 		}
 		ActivateRow(p.act, hid)
 	}
-
-	out := inter[:1] // layer-1 input is dead; reuse its scratch
-	mat.MulRowInto(out, hid, p.w2)
-	return ActivateScalar(p.outAct, out[0]+p.b2[0])
+	mat.MulRowInto(out1, hid, p.w2)
+	return ActivateScalar(p.outAct, out1[0]+p.b2[0])
 }

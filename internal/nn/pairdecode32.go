@@ -59,6 +59,30 @@ func (p *PairDecoder32) Bytes() int {
 func (p *PairDecoder32) Logit(a, b []float32, t float32, hid []float32) float64 {
 	hid = hid[:p.h]
 	mat.MulRowHadamardInto32(hid, a[:p.d], b[:p.d], t, p.w1)
+	return p.output(hid)
+}
+
+// Logits4 scores the four pairs (a, b[r], t[r]) that share the operand
+// a into out[0..3], each bitwise equal to Logit(a, b[r], t[r]). The
+// four fused layer-1 projections run as one
+// mat.MulRowsHadamard4Into32 pass, so the layer-1 weights stream from
+// cache once per four pairs instead of once per pair. hid (length ≥
+// 4h) is caller-owned scratch, clobbered on every call; nothing
+// allocates.
+func (p *PairDecoder32) Logits4(out []float64, a []float32, b [4][]float32, t, hid []float32) {
+	for r := range b {
+		b[r] = b[r][:p.d]
+	}
+	hid = hid[:4*p.h]
+	mat.MulRowsHadamard4Into32(hid, a[:p.d], b, t[:4], p.w1)
+	for r := range out[:4] {
+		out[r] = p.output(hid[r*p.h : (r+1)*p.h])
+	}
+}
+
+// output finishes one pair from its layer-1 pre-activation row hid:
+// bias, hidden activation, then the scalar output layer.
+func (p *PairDecoder32) output(hid []float32) float64 {
 	if p.act == ActLeakyReLU {
 		mat.AddBiasLeakyInto32(hid, p.b1, 0.01)
 	} else {

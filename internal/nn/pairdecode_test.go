@@ -102,3 +102,59 @@ func TestForwardRowMatchesForward(t *testing.T) {
 		}
 	}
 }
+
+// TestPairDecoderLogits4MatchesLogit checks that every lane of both
+// decoders' four-pair Logits4 is bitwise equal to a one-pair Logit
+// call, across activations, interaction widths d+1 ≡ 0..3 mod 4 and
+// drug rows with zero quads in only some of the four rows.
+func TestPairDecoderLogits4MatchesLogit(t *testing.T) {
+	for _, act := range []Activation{ActLeakyReLU, ActReLU, ActTanh, ActSigmoid} {
+		for _, dims := range [][2]int{{23, 16}, {24, 19}, {25, 8}, {26, 33}, {130, 24}} {
+			d, h := dims[0], dims[1]
+			rng := rand.New(rand.NewSource(int64(31 + d)))
+			var ps Params
+			mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
+			pd, ok := NewPairDecoder(mlp)
+			if !ok {
+				t.Fatal("decoder-shaped MLP rejected")
+			}
+			pd32 := NewPairDecoder32(pd)
+
+			a := mat.RandNormal(rng, 1, d, 1).Row(0)
+			drugs := mat.RandNormal(rng, 8, d, 1)
+			for q := 0; 4*q+3 < d; q++ {
+				// Quad q is zero in the drug rows whose bit is set in
+				// q%16, so groups mix zero and live quads.
+				for r := 0; r < 4; r++ {
+					if (q%16)&(1<<r) != 0 {
+						clear(drugs.Row(r)[4*q : 4*q+4])
+					}
+				}
+			}
+			a32 := mat.Floats32(a)
+			drugs32 := mat.Dense32From(drugs)
+			inter := make([]float64, 4*(d+1))
+			hid := make([]float64, 4*h)
+			hid32 := make([]float32, 4*h)
+			for g := 0; g+4 <= drugs.Rows(); g += 2 {
+				b := [4][]float64{drugs.Row(g), drugs.Row(g + 1), drugs.Row(g + 2), drugs.Row(g + 3)}
+				b32 := [4][]float32{drugs32.Row(g), drugs32.Row(g + 1), drugs32.Row(g + 2), drugs32.Row(g + 3)}
+				tv := []float64{float64(g % 2), 1, 0, float64(rng.Intn(2))}
+				tv32 := []float32{float32(tv[0]), float32(tv[1]), float32(tv[2]), float32(tv[3])}
+				var got, got32 [4]float64
+				pd.Logits4(got[:], a, b, tv, inter, hid)
+				pd32.Logits4(got32[:], a32, b32, tv32, hid32)
+				for r := 0; r < 4; r++ {
+					want := pd.Logit(a, b[r], tv[r], inter, hid)
+					if math.Float64bits(got[r]) != math.Float64bits(want) {
+						t.Fatalf("act=%v d=%d h=%d group %d lane %d: Logits4 %v != Logit %v", act, d, h, g, r, got[r], want)
+					}
+					want32 := pd32.Logit(a32, b32[r], tv32[r], hid32)
+					if math.Float64bits(got32[r]) != math.Float64bits(want32) {
+						t.Fatalf("act=%v d=%d h=%d group %d lane %d: f32 Logits4 %v != Logit %v", act, d, h, g, r, got32[r], want32)
+					}
+				}
+			}
+		}
+	}
+}
