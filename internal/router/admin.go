@@ -106,12 +106,15 @@ func (rt *Router) rolloutOne(b *backend, path string, canary bool, fleetModel *j
 	step := RolloutStep{Backend: b.name, Canary: canary, Status: "failed"}
 
 	// 1. Capture the pre-reload epoch.
-	oldEpoch, err := rt.backendEpoch(b)
+	h, answered, err := b.fetchHealthz()
 	if err != nil {
+		if !answered {
+			rt.noteFailure(b, "healthz", err)
+		}
 		step.Error = fmt.Sprintf("pre-reload healthz: %v", err)
 		return step
 	}
-	step.OldEpoch = oldEpoch
+	step.OldEpoch = h.Epoch
 
 	// 2. Trigger the backend's own zero-downtime reload.
 	body, _ := json.Marshal(ReloadRequest{Path: path})
@@ -138,8 +141,8 @@ func (rt *Router) rolloutOne(b *backend, path string, canary bool, fleetModel *j
 	step.NewEpoch = reload.Epoch
 
 	// 3. Verify the epoch actually moved.
-	if reload.Epoch <= oldEpoch {
-		step.Error = fmt.Sprintf("epoch did not advance (%d -> %d)", oldEpoch, reload.Epoch)
+	if reload.Epoch <= step.OldEpoch {
+		step.Error = fmt.Sprintf("epoch did not advance (%d -> %d)", step.OldEpoch, reload.Epoch)
 		return step
 	}
 
@@ -182,26 +185,6 @@ func (rt *Router) rolloutOne(b *backend, path string, canary bool, fleetModel *j
 	b.epoch.Store(reload.Epoch)
 	step.Status = "reloaded"
 	return step
-}
-
-// backendEpoch reads one backend's current epoch from its /healthz.
-func (rt *Router) backendEpoch(b *backend) (int64, error) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		rt.noteFailure(b, "healthz", err)
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
-	var health struct {
-		Epoch int64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
-		return 0, err
-	}
-	return health.Epoch, nil
 }
 
 func truncate(b []byte, n int) string {
@@ -262,31 +245,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	// fetch failure on one (a fault-injected link, say) must not strip
 	// the cohort info clients discover through it.
 	for _, b := range healthy {
-		if model, err := rt.backendModel(b); err == nil {
-			resp.Model = model
+		if h, _, err := b.fetchHealthz(); err == nil {
+			resp.Model = h.Model
 			break
 		}
 	}
 	writeJSON(w, status, resp)
-}
-
-// backendModel fetches the model block from one backend's /healthz.
-func (rt *Router) backendModel(b *backend) (json.RawMessage, error) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
-	var health struct {
-		Model json.RawMessage `json:"model"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
-		return nil, err
-	}
-	return health.Model, nil
 }
 
 // BackendMetrics is one pool member's traffic and health counters.

@@ -1,6 +1,9 @@
 package router
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -190,4 +193,29 @@ func newBackend(name string, cfg Config) *backend {
 		client: &http.Client{Transport: transport, Timeout: cfg.Timeout},
 		health: newHealthMachine(cfg.FailAfter, cfg.Cooldown),
 	}
+}
+
+// healthz is the part of a backend's /healthz reply the router reads.
+type healthz struct {
+	Epoch int64           `json:"epoch"`
+	Model json.RawMessage `json:"model"`
+}
+
+// fetchHealthz GETs and decodes the backend's /healthz. answered is
+// false when the request failed at the transport level; when it is
+// true, err reports a non-200 status or an undecodable body. Each
+// caller decides which failures feed the health machine.
+func (b *backend) fetchHealthz() (h healthz, answered bool, err error) {
+	resp, err := b.client.Get(b.base + "/healthz")
+	if err != nil {
+		return h, false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h)
+	} else {
+		err = fmt.Errorf("healthz returned %d", resp.StatusCode)
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)) // drain so the connection is reused
+	return h, true, err
 }

@@ -12,20 +12,21 @@ import (
 )
 
 // fakeBackend is a minimal dssddi-serve stand-in: a live /healthz (so
-// the prober keeps it in rotation) plus a configurable suggest
-// handler. It lets deadline tests observe exactly what the router
-// sends without training a model.
-func fakeBackend(t *testing.T, suggest http.HandlerFunc) (name string) {
+// the prober keeps it in rotation) plus one configurable handler for
+// every /v1 route. It lets tests observe exactly what the router sends
+// without training a model. The server is returned so a test can kill
+// it.
+func fakeBackend(t *testing.T, v1 http.HandlerFunc) (name string, ts *httptest.Server) {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"status":"ok","epoch":1}`))
 	})
-	mux.HandleFunc("POST /v1/suggest", suggest)
-	ts := httptest.NewServer(mux)
+	mux.HandleFunc("/v1/", v1)
+	ts = httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://")
+	return strings.TrimPrefix(ts.URL, "http://"), ts
 }
 
 func bootRouter(t *testing.T, cfg Config) *httptest.Server {
@@ -44,7 +45,7 @@ func bootRouter(t *testing.T, cfg Config) *httptest.Server {
 // client itself propagated.
 func TestRouterStampsDeadline(t *testing.T) {
 	var stamped atomic.Int64
-	name := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	name, _ := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		ms, err := strconv.ParseInt(r.Header.Get(deadlineHeader), 10, 64)
 		if err != nil {
 			t.Errorf("backend got %s=%q: %v", deadlineHeader, r.Header.Get(deadlineHeader), err)
@@ -95,7 +96,7 @@ func TestRouterStampsDeadline(t *testing.T) {
 // fast 504, not a hang: the attempt context is cut at the remaining
 // budget and no further retries are attempted.
 func TestRouterBudgetExhausted(t *testing.T) {
-	name := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+	name, _ := fakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(300 * time.Millisecond)
 		w.Write([]byte(`{}`))
 	})

@@ -2,13 +2,12 @@ package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,87 +44,6 @@ func (rt *Router) replicaGroup(key string) []string {
 	return rt.ring.Successors(key, rt.cfg.ReplicationFactor)
 }
 
-// capturedResponse is one fully-buffered backend response — the
-// replication paths inspect status (404-failover, quorum decisions)
-// before anything is relayed to the client.
-type capturedResponse struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// proxyCapture sends one attempt to one backend and buffers the whole
-// response. Transport failures feed the health machine and return an
-// error; any HTTP response is a successful proxy. extra headers (e.g.
-// X-Replicate) are stamped onto the backend request.
-func (rt *Router) proxyCapture(r *http.Request, tr *obs.Trace, b *backend, body []byte, remaining time.Duration, extra http.Header) (*capturedResponse, error) {
-	b.requests.Add(1)
-	url := b.base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	attemptTimeout := rt.cfg.Timeout
-	if remaining < attemptTimeout {
-		attemptTimeout = remaining
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), attemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, url, reader)
-	if err != nil {
-		b.errors.Add(1)
-		return nil, err
-	}
-	copyProxyHeaders(req.Header, r.Header)
-	for k, vs := range extra {
-		req.Header[k] = vs
-	}
-	req.Header.Set(deadlineHeader, strconv.FormatInt(attemptTimeout.Milliseconds(), 10))
-	t0 := time.Now()
-	resp, err := b.client.Do(req)
-	lat := time.Since(t0)
-	if tr != nil {
-		tr.SpanAt("proxy:"+b.name, t0, t0.Add(lat))
-	}
-	if err != nil {
-		b.errors.Add(1)
-		tr.Eventf("backend %s failed: %v", b.name, err)
-		rt.noteFailure(b, "proxy", err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
-	if err == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
-		err = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
-	}
-	if err != nil {
-		b.errors.Add(1)
-		rt.noteFailure(b, "proxy", err)
-		return nil, err
-	}
-	b.lat.Observe(lat)
-	rt.noteSuccess(b)
-	tr.SetBackend(b.name)
-	return &capturedResponse{status: resp.StatusCode, header: resp.Header, body: raw}, nil
-}
-
-// relayCaptured writes a buffered backend response to the client.
-func relayCaptured(w http.ResponseWriter, cr *capturedResponse, backendName string) {
-	h := w.Header()
-	for k, vs := range cr.header {
-		if isHopByHop(k) {
-			continue
-		}
-		h[k] = vs
-	}
-	h.Set("X-Backend", backendName)
-	w.WriteHeader(cr.status)
-	w.Write(cr.body)
-}
-
 // forwardPinnedRead serves a registered-patient read from the key's
 // replica group: the owner first, then successors. A member that is
 // out of rotation is skipped; a transport failure moves on (and feeds
@@ -134,11 +52,11 @@ func relayCaptured(w http.ResponseWriter, cr *capturedResponse, backendName stri
 // replicas are stale and get read-repaired in the background. Only
 // when every reachable member says 404 is the patient genuinely
 // unregistered.
-func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *obs.Trace, body []byte, key string, group []string, deadline time.Time) {
+func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, body []byte, key string, group []string, deadline time.Time) {
+	tr := obs.FromContext(r.Context())
 	id := strings.TrimPrefix(key, "p|")
 	backoff := rt.cfg.RetryBackoff
 	var notFound *capturedResponse
-	var notFoundFrom string
 	var stale []string // members that answered 404 before a hit
 	var lastErr error
 
@@ -167,7 +85,11 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 				break
 			}
 			tried++
-			cr, err := rt.proxyCapture(r, tr, b, body, remaining, nil)
+			cr, err := rt.proxyCapture(r, b, body, remaining, nil)
+			if errors.Is(err, errTooLarge) {
+				rt.replyFailure(w, true, group, deadline, err)
+				return
+			}
 			if err != nil {
 				lastErr = fmt.Errorf("backend %s unreachable", b.name)
 				if pass > 0 {
@@ -177,7 +99,7 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 			}
 			if cr.status == http.StatusNotFound {
 				if notFound == nil {
-					notFound, notFoundFrom = cr, b.name
+					notFound = cr
 				}
 				stale = append(stale, b.name)
 				tr.Eventf("backend %s misses %q; walking group", b.name, id)
@@ -191,7 +113,7 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 			if cr.status < 300 && len(stale) > 0 {
 				rt.scheduleReadRepair(id, b.name, stale)
 			}
-			relayCaptured(w, cr, b.name)
+			relayCaptured(w, cr)
 			return
 		}
 		if tried == 0 {
@@ -201,29 +123,10 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 
 	if notFound != nil {
 		// Every reachable group member agrees: not registered.
-		relayCaptured(w, notFound, notFoundFrom)
+		relayCaptured(w, notFound)
 		return
 	}
-	rt.proxyErrors.Add(1)
-	if !rt.anyHealthy(group) {
-		owner := rt.backends[group[0]]
-		rt.pinnedUnavailable.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
-		writeJSON(w, http.StatusServiceUnavailable, apiError{
-			Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
-		})
-		return
-	}
-	if time.Until(deadline) <= 0 {
-		rt.deadlineExhausted.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
-		return
-	}
-	msg := "router: request failed"
-	if lastErr != nil {
-		msg = "router: " + lastErr.Error()
-	}
-	writeJSON(w, http.StatusBadGateway, apiError{Error: msg})
+	rt.replyFailure(w, true, group, deadline, lastErr)
 }
 
 // withRetry runs f up to attempts times, sleeping a doubling backoff
@@ -328,107 +231,31 @@ func (rt *Router) scheduleReplicaRepair(b *backend, rec regproto.Record) {
 // the acting owner (first in-rotation group member) assigns the
 // record's version and WAL-logs it, the router fans the echoed record
 // out to the rest of the group, and the client is acknowledged once
-// the available-bounded write quorum holds the record. Full-replace
-// PUT and DELETE retry across the group on transport failure —
-// replaying them is safe under last-writer-wins; PATCH stays
-// single-shot.
-func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request, body []byte, id string) {
-	rt.requests.Add(1)
+// the available-bounded write quorum holds the record. A retryable
+// mutation (full-replace PUT, DELETE) retries across the group on
+// transport failure — replaying it is safe under last-writer-wins.
+func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request, body []byte, id string, retryable bool) {
 	tr := obs.FromContext(r.Context())
-	key := registeredKey(id)
-	group := rt.replicaGroup(key)
-	if len(group) == 0 {
-		rt.proxyErrors.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "router: no backends"})
+	group := rt.replicaGroup(registeredKey(id))
+	deadline, ok := rt.begin(w, r, group)
+	if !ok {
 		return
 	}
-	rt.backends[group[0]].routedKeys.Add(1)
-	deadline, expired := rt.requestDeadline(r)
-	if expired {
-		rt.proxyErrors.Add(1)
-		rt.deadlineExhausted.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request deadline already expired"})
-		return
-	}
-
 	attempts := 1
-	if r.Method != http.MethodPatch {
+	if retryable {
 		attempts += rt.cfg.MaxRetries
 	}
 	extra := http.Header{}
 	extra.Set(regproto.ReplicateHeader, "1")
-	backoff := rt.cfg.RetryBackoff
-	var resp *capturedResponse
-	var acting *backend
-	var lastErr error
-	cursor := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		var b *backend
-		for n := 0; n < len(group); n++ {
-			cand := rt.backends[group[(cursor+n)%len(group)]]
-			if cand.health.Healthy() {
-				b = cand
-				cursor = (cursor + n) % len(group)
-				break
-			}
-		}
-		if b == nil {
-			b = rt.backends[group[cursor%len(group)]]
-		}
-		if attempt > 0 {
-			if backoff >= remaining {
-				break
-			}
-			tr.Eventf("write retry %d: backoff %s then backend %s", attempt, backoff, b.name)
-			time.Sleep(backoff)
-			backoff *= 2
-			b.retries.Add(1)
-			rt.retriesTotal.Add(1)
-			if remaining = time.Until(deadline); remaining <= 0 {
-				break
-			}
-		}
-		cr, err := rt.proxyCapture(r, tr, b, body, remaining, extra)
-		if err != nil {
-			lastErr = fmt.Errorf("backend %s unreachable", b.name)
-			cursor++
-			continue
-		}
-		resp, acting = cr, b
-		break
-	}
-
+	resp, err := rt.walk(r, body, group, attempts, true, deadline, extra)
 	if resp == nil {
-		rt.proxyErrors.Add(1)
-		if !rt.anyHealthy(group) {
-			owner := rt.backends[group[0]]
-			rt.pinnedUnavailable.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
-			writeJSON(w, http.StatusServiceUnavailable, apiError{
-				Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
-			})
-			return
-		}
-		if time.Until(deadline) <= 0 {
-			rt.deadlineExhausted.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
-			return
-		}
-		msg := "router: request failed"
-		if lastErr != nil {
-			msg = "router: " + lastErr.Error()
-		}
-		writeJSON(w, http.StatusBadGateway, apiError{Error: msg})
+		rt.replyFailure(w, true, group, deadline, err)
 		return
 	}
 	if resp.status >= 300 {
 		// The acting owner rejected the mutation (400/404/...); nothing
 		// was written, nothing fans out.
-		relayCaptured(w, resp, acting.name)
+		relayCaptured(w, resp)
 		return
 	}
 
@@ -446,7 +273,7 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 		t0 := time.Now()
 		var wg sync.WaitGroup
 		for _, name := range group {
-			if name == acting.name {
+			if name == resp.backend {
 				continue
 			}
 			b := rt.backends[name]
@@ -487,7 +314,7 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 		})
 		return
 	}
-	relayCaptured(w, resp, acting.name)
+	relayCaptured(w, resp)
 }
 
 // applyRecords pushes records to one backend's replica-apply endpoint.

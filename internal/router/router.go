@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -48,8 +49,9 @@ type Config struct {
 	// Cooldown is how long an ejected backend sits out before a
 	// half-open trial probe (default 2s).
 	Cooldown time.Duration
-	// MaxRetries bounds additional attempts for idempotent reads after
-	// a transport failure (default 2). Writes never retry.
+	// MaxRetries bounds additional attempts for idempotent requests
+	// after a transport failure (default 2): reads, full-replace PUT and
+	// DELETE. PATCH never retries.
 	MaxRetries int
 	// RetryBackoff is the initial backoff before a retry, doubling per
 	// attempt (default 25ms).
@@ -66,8 +68,9 @@ type Config struct {
 	// MaxIdleConns bounds the kept-alive connections per backend
 	// (default 256).
 	MaxIdleConns int
-	// MaxBodyBytes bounds buffered request bodies (default 1<<20,
-	// matching the backends' own request cap).
+	// MaxBodyBytes bounds buffered request bodies and backend responses
+	// (default 1<<20, matching the backends' own request cap). A longer
+	// response is never relayed: the client gets a 502 naming the limit.
 	MaxBodyBytes int64
 
 	// TraceSample is the fraction of routed requests recorded into the
@@ -251,22 +254,12 @@ func (rt *Router) probeLoop() {
 // success; anything else (transport error or bad status) counts
 // toward ejection.
 func (rt *Router) probe(b *backend) {
-	resp, err := b.client.Get(b.base + "/healthz")
+	h, _, err := b.fetchHealthz()
 	if err != nil {
 		rt.noteFailure(b, "probe", err)
 		return
 	}
-	var health struct {
-		Epoch int64 `json:"epoch"`
-	}
-	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || decErr != nil {
-		rt.noteFailure(b, "probe", fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decErr))
-		return
-	}
-	b.epoch.Store(health.Epoch)
+	b.epoch.Store(h.Epoch)
 	rt.noteSuccess(b)
 }
 
@@ -277,22 +270,12 @@ func (rt *Router) probe(b *backend) {
 // convergence — before it takes traffic again. A failed trial or a
 // failed reconcile re-ejects for a fresh cooldown.
 func (rt *Router) trial(b *backend) {
-	resp, err := b.client.Get(b.base + "/healthz")
+	h, _, err := b.fetchHealthz()
 	if err != nil {
 		rt.noteFailure(b, "trial", err)
 		return
 	}
-	var health struct {
-		Epoch int64 `json:"epoch"`
-	}
-	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || decErr != nil {
-		rt.noteFailure(b, "trial", fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decErr))
-		return
-	}
-	b.epoch.Store(health.Epoch)
+	b.epoch.Store(h.Epoch)
 	if rt.cfg.ReplicationFactor > 1 {
 		if err := rt.reconcile(b); err != nil {
 			rt.noteFailure(b, "reconcile", err)
@@ -323,8 +306,8 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/suggest", rt.handleSuggest)
 	mux.HandleFunc("POST /v1/scores", rt.handleScores)
-	mux.HandleFunc("POST /v1/explain", rt.handleExplain)
-	mux.HandleFunc("POST /v1/alerts", rt.handleAlerts)
+	mux.HandleFunc("POST /v1/explain", rt.handlePatientOrDrugs)
+	mux.HandleFunc("POST /v1/alerts", rt.handlePatientOrDrugs)
 	mux.HandleFunc("/v1/patients/{id}", rt.handlePatients)
 	mux.HandleFunc("POST /v1/admin/reload", rt.handleReload)
 	mux.HandleFunc("GET /v1/admin/registry/verify", rt.handleRegistryVerify)
@@ -486,45 +469,23 @@ func (rt *Router) handleScores(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, body, key, true, false)
 }
 
-func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
+// handlePatientOrDrugs routes /v1/explain and /v1/alerts, whose
+// bodies name a patient or an explicit drug set.
+func (rt *Router) handlePatientOrDrugs(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	// Explain requests name a patient or an explicit drug set; the
-	// patient field is a pointer server-side, so distinguish "absent"
-	// from 0 here too.
+	// The patient field is a pointer server-side, so distinguish
+	// "absent" from 0 here too.
 	var probe struct {
 		Patient *int  `json:"patient"`
 		Drugs   []int `json:"drugs"`
 	}
 	json.Unmarshal(body, &probe)
-	var key string
-	switch {
-	case probe.Patient != nil:
+	key := drugsKey(probe.Drugs)
+	if probe.Patient != nil {
 		key = patientKey(*probe.Patient)
-	default:
-		key = drugsKey(probe.Drugs)
-	}
-	rt.forward(w, r, body, key, true, false)
-}
-
-func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var probe struct {
-		Patient *int  `json:"patient"`
-		Drugs   []int `json:"drugs"`
-	}
-	json.Unmarshal(body, &probe)
-	var key string
-	switch {
-	case probe.Patient != nil:
-		key = patientKey(*probe.Patient)
-	default:
-		key = drugsKey(probe.Drugs)
 	}
 	rt.forward(w, r, body, key, true, false)
 }
@@ -543,17 +504,17 @@ func (rt *Router) handlePatients(w http.ResponseWriter, r *http.Request) {
 		rt.forward(w, r, nil, key, true, true)
 		return
 	}
-	if rt.cfg.ReplicationFactor > 1 {
-		rt.forwardReplicatedWrite(w, r, body, id)
-		return
-	}
 	// Full-replace PUT and DELETE are idempotent by construction —
 	// replaying one after an ambiguous transport failure (connection
 	// refused or reset before the response arrived) converges to the
-	// same record — so they retry the owner under the request budget
-	// instead of surfacing a 502 for every restart race. PATCH merges
-	// and stays single-shot.
+	// same record — so they retry under the request budget instead of
+	// surfacing a 502 for every restart race. PATCH merges and stays
+	// single-shot.
 	retryable := r.Method == http.MethodPut || r.Method == http.MethodDelete
+	if rt.cfg.ReplicationFactor > 1 {
+		rt.forwardReplicatedWrite(w, r, body, id, retryable)
+		return
+	}
 	rt.forward(w, r, body, key, retryable, true)
 }
 
@@ -572,39 +533,76 @@ const deadlineHeader = "X-Deadline-Ms"
 // neighbor until it recovers. The whole dance — attempts plus backoff
 // sleeps — is bounded by the request budget.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string, idempotent, pinned bool) {
-	rt.requests.Add(1)
-	tr := obs.FromContext(r.Context())
 	candidates := rt.ring.Successors(key, rt.ring.Len())
-	if len(candidates) == 0 {
-		rt.proxyErrors.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "router: no backends"})
+	deadline, ok := rt.begin(w, r, candidates)
+	if !ok {
 		return
 	}
-	rt.backends[candidates[0]].routedKeys.Add(1)
 	if pinned && rt.cfg.ReplicationFactor < len(candidates) {
 		candidates = candidates[:rt.cfg.ReplicationFactor]
 	}
-
-	deadline, expired := rt.requestDeadline(r)
-	if expired {
-		rt.proxyErrors.Add(1)
-		rt.deadlineExhausted.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request deadline already expired"})
-		return
-	}
-
 	if pinned && idempotent && len(candidates) > 1 {
 		// A replicated registered-patient read: every group member holds
 		// the record, so the read fails over within the group instead of
 		// dead-ending on the owner.
-		rt.forwardPinnedRead(w, r, tr, body, key, candidates, deadline)
+		rt.forwardPinnedRead(w, r, body, key, candidates, deadline)
 		return
 	}
-
 	attempts := 1
 	if idempotent {
 		attempts += rt.cfg.MaxRetries
 	}
+	cr, err := rt.walk(r, body, candidates, attempts, pinned, deadline, nil)
+	if cr == nil {
+		rt.replyFailure(w, pinned, candidates, deadline, err)
+		return
+	}
+	relayCaptured(w, cr)
+}
+
+// begin is the prologue every forwarded request shares: it counts the
+// request and its key's owner (candidates[0]) and settles the request
+// budget — the router's own, shrunk (never grown) by a client-sent
+// X-Deadline-Ms. ok is false when begin has already answered: there
+// are no backends (503), or the budget was spent before the request
+// arrived (504).
+func (rt *Router) begin(w http.ResponseWriter, r *http.Request, candidates []string) (deadline time.Time, ok bool) {
+	rt.requests.Add(1)
+	if len(candidates) == 0 {
+		rt.proxyErrors.Add(1)
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "router: no backends"})
+		return time.Time{}, false
+	}
+	rt.backends[candidates[0]].routedKeys.Add(1)
+	deadline = time.Now().Add(rt.cfg.RequestBudget)
+	if h := r.Header.Get(deadlineHeader); h != "" {
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
+			if ms <= 0 {
+				rt.proxyErrors.Add(1)
+				rt.deadlineExhausted.Add(1)
+				writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request deadline already expired"})
+				return time.Time{}, false
+			}
+			if d := time.Now().Add(time.Duration(ms) * time.Millisecond); d.Before(deadline) {
+				deadline = d
+			}
+		}
+	}
+	return deadline, true
+}
+
+// walk sends up to attempts tries through candidates, stopping at the
+// first HTTP response. Each try goes to the next in-rotation candidate
+// after the one that failed; retries sleep a doubling backoff first,
+// and nothing outlives the request budget. When every candidate is
+// ejected (e.g. the whole pool just restarted) a pinned walk tries its
+// group anyway — passive success flips a member back to healthy faster
+// than a probe — while an un-pinned walk stops after its first try.
+// On failure it returns the error that ended the walk: the last
+// unreachable backend, an over-limit response (never retried), or nil
+// when the budget allowed no try at all.
+func (rt *Router) walk(r *http.Request, body []byte, candidates []string, attempts int, pinned bool, deadline time.Time, extra http.Header) (*capturedResponse, error) {
+	tr := obs.FromContext(r.Context())
 	backoff := rt.cfg.RetryBackoff
 	var lastErr error
 	cursor := 0
@@ -613,9 +611,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 		if remaining <= 0 {
 			break
 		}
-		// Prefer in-rotation members; when every candidate is ejected
-		// (e.g. the whole pool just restarted), try the owner anyway —
-		// passive success flips it back to healthy faster than a probe.
 		var b *backend
 		for n := 0; n < len(candidates); n++ {
 			cand := rt.backends[candidates[(cursor+n)%len(candidates)]]
@@ -645,26 +640,41 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 				break
 			}
 		}
-		if rt.proxyOnce(w, r, tr, b, body, remaining) {
-			return
+		cr, err := rt.proxyCapture(r, b, body, remaining, extra)
+		if err == nil {
+			return cr, nil
+		}
+		if errors.Is(err, errTooLarge) {
+			return nil, err
 		}
 		lastErr = fmt.Errorf("backend %s unreachable", b.name)
 		cursor++ // next attempt starts at the following successor
 	}
+	return nil, lastErr
+}
+
+// replyFailure answers a request that no backend served and counts it
+// as a proxy error. A pinned request whose whole group is out of
+// rotation gets a 503 with Retry-After; a spent budget gets a 504;
+// everything else — an over-limit response included, which neither
+// health nor the budget explains — is a 502 naming lastErr.
+func (rt *Router) replyFailure(w http.ResponseWriter, pinned bool, group []string, deadline time.Time, lastErr error) {
 	rt.proxyErrors.Add(1)
-	if pinned && !rt.anyHealthy(candidates) {
+	switch {
+	case errors.Is(lastErr, errTooLarge):
+		// A 502 below, whatever the group's health or the budget.
+	case pinned && !rt.anyHealthy(group):
 		// No group member that can answer is in rotation. Tell the
 		// client when a retry could plausibly succeed: the remainder of
 		// the owner's ejection cooldown.
-		owner := rt.backends[candidates[0]]
+		owner := rt.backends[group[0]]
 		rt.pinnedUnavailable.Add(1)
 		w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
 		writeJSON(w, http.StatusServiceUnavailable, apiError{
 			Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
 		})
 		return
-	}
-	if time.Until(deadline) <= 0 {
+	case time.Until(deadline) <= 0:
 		rt.deadlineExhausted.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
 		return
@@ -686,24 +696,6 @@ func (rt *Router) anyHealthy(names []string) bool {
 	return false
 }
 
-// requestDeadline settles the request budget: the router's own budget,
-// shrunk (never grown) by a client-sent X-Deadline-Ms. expired reports
-// a budget that was spent before the request arrived.
-func (rt *Router) requestDeadline(r *http.Request) (deadline time.Time, expired bool) {
-	deadline = time.Now().Add(rt.cfg.RequestBudget)
-	if h := r.Header.Get(deadlineHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
-			if ms <= 0 {
-				return time.Time{}, true
-			}
-			if d := time.Now().Add(time.Duration(ms) * time.Millisecond); d.Before(deadline) {
-				deadline = d
-			}
-		}
-	}
-	return deadline, false
-}
-
 // retryAfterSeconds renders a duration as a Retry-After value: whole
 // seconds, rounded up, never below 1.
 func retryAfterSeconds(d time.Duration) string {
@@ -714,14 +706,36 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// proxyOnce sends one attempt to one backend, streaming the response
-// through on success. A transport failure reports to the backend's
-// health machine and returns false so the caller can retry; any HTTP
-// response — including 4xx/5xx — is a successful proxy and is
-// relayed as-is. remaining is the request budget left: it caps the
-// attempt timeout and is stamped onto the backend as X-Deadline-Ms so
-// the backend stops working the moment this attempt's clock runs out.
-func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trace, b *backend, body []byte, remaining time.Duration) bool {
+// errTooLarge marks a backend response longer than MaxBodyBytes.
+// Replaying the request would get the same reply, so the attempt is
+// neither retried nor counted against the backend's health.
+var errTooLarge = errors.New("response too large")
+
+// capturedResponse is one fully-buffered backend response.
+type capturedResponse struct {
+	backend string // the backend that answered
+	status  int
+	header  http.Header
+	body    []byte
+}
+
+// proxyCapture sends one attempt to one backend and buffers the whole
+// response; every proxied request goes through it. remaining is the
+// request budget left: it caps the attempt timeout and is stamped onto
+// the backend as X-Deadline-Ms so the backend stops working the moment
+// this attempt's clock runs out. extra headers (e.g. X-Replicate) are
+// stamped onto the backend request too.
+//
+// Nothing reaches the client before the whole body is in. Once the
+// status line is written the attempt cannot be retried, and a chunked
+// body that dies mid-stream on the backend link would be re-terminated
+// cleanly by our own server — the client would read a truncated 2xx as
+// if it were complete. A transport failure, a mid-body one included,
+// feeds the health machine and returns an error the caller may retry.
+// A body longer than MaxBodyBytes returns errTooLarge. Any HTTP
+// response — including 4xx/5xx — is a successful proxy.
+func (rt *Router) proxyCapture(r *http.Request, b *backend, body []byte, remaining time.Duration, extra http.Header) (*capturedResponse, error) {
+	tr := obs.FromContext(r.Context())
 	b.requests.Add(1)
 	url := b.base + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -740,9 +754,12 @@ func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	req, err := http.NewRequestWithContext(ctx, r.Method, url, reader)
 	if err != nil {
 		b.errors.Add(1)
-		return false
+		return nil, err
 	}
 	copyProxyHeaders(req.Header, r.Header)
+	for k, vs := range extra {
+		req.Header[k] = vs
+	}
 	req.Header.Set(deadlineHeader, strconv.FormatInt(attemptTimeout.Milliseconds(), 10))
 	t0 := time.Now()
 	resp, err := b.client.Do(req)
@@ -754,41 +771,42 @@ func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		b.errors.Add(1)
 		tr.Eventf("backend %s failed: %v", b.name, err)
 		rt.noteFailure(b, "proxy", err)
-		return false
+		return nil, err
 	}
 	defer resp.Body.Close()
-	// Buffer the whole response before a byte reaches the client. Once
-	// the status line is written the attempt cannot be retried, and a
-	// chunked body that dies mid-stream on the backend link would be
-	// re-terminated cleanly by our own server — the client would read a
-	// truncated 2xx as if it were complete. A mid-body failure here is
-	// a transport error like any other: it feeds the health machine and
-	// the caller retries.
-	raw, rerr := io.ReadAll(resp.Body)
-	if rerr == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
-		rerr = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
+	limit := rt.cfg.MaxBodyBytes
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if int64(len(raw)) > limit {
+		tr.Eventf("backend %s response exceeds %d bytes", b.name, limit)
+		return nil, fmt.Errorf("%w: backend %s sent more than MaxBodyBytes (%d bytes)", errTooLarge, b.name, limit)
 	}
-	if rerr != nil {
+	if err == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
+		err = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
+	}
+	if err != nil {
 		b.errors.Add(1)
-		tr.Eventf("backend %s body died mid-read: %v", b.name, rerr)
-		rt.noteFailure(b, "proxy", rerr)
-		return false
+		tr.Eventf("backend %s body died mid-read: %v", b.name, err)
+		rt.noteFailure(b, "proxy", err)
+		return nil, err
 	}
 	b.lat.Observe(lat)
 	rt.noteSuccess(b)
 	tr.SetBackend(b.name)
+	return &capturedResponse{backend: b.name, status: resp.StatusCode, header: resp.Header, body: raw}, nil
+}
 
+// relayCaptured writes a buffered backend response to the client.
+func relayCaptured(w http.ResponseWriter, cr *capturedResponse) {
 	h := w.Header()
-	for k, vs := range resp.Header {
+	for k, vs := range cr.header {
 		if isHopByHop(k) {
 			continue
 		}
 		h[k] = vs
 	}
-	h.Set("X-Backend", b.name)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
-	return true
+	h.Set("X-Backend", cr.backend)
+	w.WriteHeader(cr.status)
+	w.Write(cr.body)
 }
 
 // copyProxyHeaders forwards the request headers the backends care

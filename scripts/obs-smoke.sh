@@ -117,11 +117,12 @@ grep '^{' "$WORK/router.log" | while IFS= read -r line; do
 done
 
 echo "== tracez text view renders on both tiers"
-# Capture before grepping: grep -q quits on the first match and would
-# SIGPIPE curl mid-body under pipefail on a large page.
+# Capture, then grep a here-string: grep -q quits on the first match,
+# and anything still writing into a pipe to it (curl, or echo on a
+# large page) dies of SIGPIPE and fails the check under pipefail.
 page=$(curl -sf "http://$ROUTER/debug/tracez")
-echo "$page" | grep -q 'dssddi-router /debug/tracez' || { echo "router tracez text view broken"; exit 1; }
+grep -q 'dssddi-router /debug/tracez' <<<"$page" || { echo "router tracez text view broken"; exit 1; }
 page=$(curl -sf "http://$B0/debug/tracez")
-echo "$page" | grep -q 'dssddi-serve /debug/tracez' || { echo "backend tracez text view broken"; exit 1; }
+grep -q 'dssddi-serve /debug/tracez' <<<"$page" || { echo "backend tracez text view broken"; exit 1; }
 
 echo "== OK: obs smoke passed"
