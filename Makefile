@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test -race ./...
 	DSSDDI_SIMD=avx2 $(GO) test ./internal/mat ./internal/nn ./internal/md
+	DSSDDI_SIMD=avx2 $(GO) test -run TrainSnapshotDigest .
 	DSSDDI_SIMD=off $(GO) test ./internal/mat ./internal/nn ./internal/md
+	DSSDDI_SIMD=off $(GO) test -run TrainSnapshotDigest .
 
 # The short benchmark smoke CI runs, plus a perf record from benchtab
 # and the alloc-regression diff against the committed seed baseline.
 bench:
-	$(GO) test -run '^$$' -bench 'MatMulInto128|MulDenseInto|MulRows4Into' -benchtime 1x ./internal/mat/ ./internal/sparse/
+	$(GO) test -run '^$$' -bench 'MatMulInto128|MulDenseInto|MulRows4Into|MatMulTransB|Decoder' -benchtime 1x ./internal/mat/ ./internal/sparse/
 	$(GO) test -run '^$$' -bench DDIGCNTraining -benchtime 1x -timeout 30m .
 	$(GO) run ./cmd/benchtab -table 1 -trainbench -json BENCH_local.json
 	$(GO) run ./cmd/benchdiff BENCH_seed.json BENCH_local.json

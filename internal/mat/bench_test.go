@@ -40,6 +40,31 @@ func BenchmarkMatMulIntoGCN(b *testing.B) { benchMatMulInto(b, 4157, 71, 64) } /
 func BenchmarkMatMulTransA(b *testing.B)  { benchTrans(b, MatMulTransA) }
 func BenchmarkMatMulTransB(b *testing.B)  { benchTrans(b, MatMulTransB) }
 
+// The decoder benchmarks run the MD decoder's layer-1 shapes at the
+// benchmark width (1,648 training pairs, hidden 384, 385-wide input):
+// BenchmarkMatMulIntoDecoder is the forward pass inter·W1 and
+// BenchmarkMatMulTransBDecoder the input gradient dHid·W1ᵀ, the two
+// matmuls every training epoch runs twice per pair.
+func BenchmarkMatMulIntoDecoder(b *testing.B) { benchMatMulInto(b, 1648, 385, 384) }
+
+func BenchmarkMatMulTransBDecoder(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	dOut := randDense(rng, 1648, 384)
+	w := randDense(rng, 385, 384)
+	dst := New(1648, 385)
+	for _, wk := range benchWorkers {
+		b.Run(wk.name, func(b *testing.B) {
+			SetWorkers(wk.n)
+			defer SetWorkers(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulTransBInto(dst, dOut, w)
+			}
+		})
+	}
+}
+
 func benchTrans(b *testing.B, f func(a, c *Dense) *Dense) {
 	rng := rand.New(rand.NewSource(1))
 	a := randDense(rng, 512, 256)

@@ -208,42 +208,21 @@ func GetScratch(n int) *[]float64 {
 // PutScratch returns a buffer obtained from GetScratch to the pool.
 func PutScratch(p *[]float64) { scratchPool.Put(p) }
 
-// matMulRange computes dst[lo:hi] = a[lo:hi] * b with a k-blocked ikj
-// loop. Four k-panels are fused per pass over the output row, cutting
-// the dst loads/stores to a quarter; rows are independent, so results
-// stay bitwise identical for any worker count or chunking.
+// matMulRange computes dst[lo:hi] = a[lo:hi] * b. Each group of four
+// output rows runs through MulRows4Into, so one pass over every 4-row
+// k-quad of b serves all four rows (mulAddRows4x4, with the per-row
+// all-zero-quad fallback); a 1–3 row remainder runs MulRowInto. Both
+// keep the k-blocked quad order of the one-row loop for every element,
+// and rows are independent, so results stay bitwise identical for any
+// worker count or chunking.
 func matMulRange(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := dst.Row(i)
-		for j := range drow {
-			drow[j] = 0
-		}
+	K, n := a.cols, b.cols
+	i := lo
+	for ; i+3 < hi; i += 4 {
+		MulRows4Into(dst.data[i*n:(i+4)*n], a.data[i*K:(i+4)*K], b)
 	}
-	K := a.cols
-	for kb := 0; kb < K; kb += blockK {
-		ke := kb + blockK
-		if ke > K {
-			ke = K
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)[kb:ke]
-			drow := dst.Row(i)
-			k := 0
-			for ; k+3 < len(arow); k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue // one-hot and sparse-ish inputs skip whole panels
-				}
-				mulAddRows4(drow, b.data[(kb+k)*b.cols:(kb+k+4)*b.cols], a0, a1, a2, a3)
-			}
-			for ; k < len(arow); k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				mulAddRow1(drow, b.Row(kb+k), av)
-			}
-		}
+	for ; i < hi; i++ {
+		MulRowInto(dst.Row(i), a.Row(i), b)
 	}
 }
 
@@ -305,19 +284,51 @@ func matMulTransARange(dst, a, b *Dense, lo, hi int, overwrite bool) {
 	PutScratch(scratch)
 }
 
-// matMulTransBRange computes dst[lo:hi] = (or +=) (a*bᵀ)[lo:hi] as a
-// row of dot products per output row.
+// matMulTransBRange computes dst[lo:hi] = (or +=) (a*bᵀ)[lo:hi], each
+// element the dot4 of an a-row and a b-row. Output rows run in pairs,
+// four columns at a time, through dot2x4: eight dot products per pass
+// over two a-rows and four b-rows, so b is streamed once per two rows
+// and eight accumulator chains overlap instead of one. Each of the
+// eight keeps dot4's lane split, K%4 tail and (s0+s1)+(s2+s3) combine,
+// so the bits equal one dot4 call per element; an odd last row and the
+// b.Rows()%4 tail columns call dot4 directly.
 func matMulTransBRange(dst, a, b *Dense, lo, hi int, overwrite bool) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.rows; j++ {
-			v := dot4(arow, b.Row(j))
+	K, p := a.cols, b.rows
+	var blk [8]float64
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		a2 := a.data[i*K : (i+2)*K]
+		d0, d1 := dst.Row(i), dst.Row(i+1)
+		j := 0
+		for ; j+3 < p; j += 4 {
+			dot2x4(&blk, a2, b.data[j*K:(j+4)*K])
 			if overwrite {
-				drow[j] = v
-			} else {
-				drow[j] += v
+				copy(d0[j:j+4], blk[:4])
+				copy(d1[j:j+4], blk[4:])
+				continue
 			}
+			for c := 0; c < 4; c++ {
+				d0[j+c] += blk[c]
+				d1[j+c] += blk[4+c]
+			}
+		}
+		transBRow(d0, a2[:K], b, j, overwrite)
+		transBRow(d1, a2[K:], b, j, overwrite)
+	}
+	if i < hi {
+		transBRow(dst.Row(i), a.Row(i), b, 0, overwrite)
+	}
+}
+
+// transBRow computes drow[j] = (or +=) dot4(arow, b_j) for j0 <= j <
+// b.Rows().
+func transBRow(drow, arow []float64, b *Dense, j0 int, overwrite bool) {
+	for j := j0; j < b.rows; j++ {
+		v := dot4(arow, b.Row(j))
+		if overwrite {
+			drow[j] = v
+		} else {
+			drow[j] += v
 		}
 	}
 }

@@ -23,6 +23,7 @@ var shapes = []struct {
 	{"colVec", 65, 33, 1},
 	{"square", 48, 48, 48},
 	{"big", 130, 70, 90},
+	{"split3", 70, 37, 41}, // 3 workers cut rows at 23 and 46
 }
 
 func randDense(rng *rand.Rand, r, c int) *Dense {
@@ -68,9 +69,9 @@ func maxAbsDiff(t *testing.T, a, b *Dense) float64 {
 }
 
 // TestParallelMatchesSerial is the table-driven serial-vs-parallel
-// equivalence check across every matmul variant and shape. The kernels
-// are designed to be bitwise identical, so the 1e-12 bound of the
-// acceptance criteria is checked with margin to spare.
+// equivalence check across every matmul variant and shape: results at
+// 3 and 4 workers must equal the serial ones bit for bit, since the
+// kernels partition rows, never reductions.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sh := range shapes {
@@ -106,13 +107,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}},
 			}
 			for _, k := range kernels {
-				s, p := serialThenParallel(k.f)
-				if d := maxAbsDiff(t, s, p); d > 1e-12 {
-					t.Errorf("%s: serial vs parallel max |diff| = %g", k.name, d)
+				var serial *Dense
+				withWorkers(1, func() { serial = k.f() })
+				for _, workers := range []int{3, 4} {
+					var par *Dense
+					withWorkers(workers, func() { par = k.f() })
+					if e := firstBitDiff(t, serial, par); e >= 0 {
+						t.Errorf("%s: workers=%d element %d = %v, serial %v", k.name, workers, e, par.data[e], serial.data[e])
+					}
 				}
 			}
 		})
 	}
+}
+
+// firstBitDiff returns the index of the first element whose bits differ
+// between a and b, or -1 when they are identical.
+func firstBitDiff(t *testing.T, a, b *Dense) int {
+	t.Helper()
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		t.Fatalf("shape mismatch %dx%d vs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
+	}
+	for i := range a.data {
+		if math.Float64bits(a.data[i]) != math.Float64bits(b.data[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestElementwiseParallelMatchesSerial covers the fused element-wise

@@ -7,6 +7,7 @@ package mat
 //	mulAddRows4x4  mulAddRows4 for four dst rows sharing one b quad
 //	mulAddRow1     dst[j] += a*b[j]
 //	dot4         four-accumulator dot product (see dot4 in parallel.go)
+//	dot2x4       dot4 for two a-rows against four b-rows at once
 //	hadamardInto dst[i] = a[i]*b[i]
 //
 // On amd64 with AVX2 they dispatch to hand-written vector assembly
@@ -87,6 +88,55 @@ func dot4Go(a, b []float64) float64 {
 		s0 += a[k] * b[k]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dot2x4LanesGo is the scalar reference of the 2x4 dot kernel's lane
+// sums: a holds two rows of length K = len(a)/2 back to back, b four
+// rows of length K, and lanes[4(4r+c)+l] receives dot4Go's s_l for
+// a-row r and b-row c over the K&^3 quad part (dot2x4 adds the
+// tail). Each dot keeps its own four accumulators, so the element order
+// is dot4Go's whatever the loop nesting.
+func dot2x4LanesGo(a, b []float64, lanes *[32]float64) {
+	K := len(a) / 2
+	q := K &^ 3
+	for r := 0; r < 2; r++ {
+		ar := a[r*K : r*K+q]
+		for c := 0; c < 4; c++ {
+			bc := b[c*K : c*K+q][:len(ar)]
+			var s0, s1, s2, s3 float64
+			for k := 0; k+3 < len(ar); k += 4 {
+				s0 += ar[k] * bc[k]
+				s1 += ar[k+1] * bc[k+1]
+				s2 += ar[k+2] * bc[k+2]
+				s3 += ar[k+3] * bc[k+3]
+			}
+			*(*[4]float64)(lanes[4*(4*r+c):]) = [4]float64{s0, s1, s2, s3}
+		}
+	}
+}
+
+// dot2x4 sets out[4r+c] = dot4(a_r, b_c) for the two a-rows of length
+// K = len(a)/2 and the four b-rows of length K stored back to back in a
+// and b. dot2x4Lanes sums the eight dots' lanes over the K&^3 quads;
+// each dot then adds the K%4 tail into s0 and combines (s0+s1)+(s2+s3)
+// exactly as dot4Go does.
+func dot2x4(out *[8]float64, a, b []float64) {
+	K := len(a) / 2
+	if len(a) != 2*K || len(b) != 4*K {
+		panic("mat: dot2x4 needs two a-rows and four b-rows of one length")
+	}
+	var lanes [32]float64
+	dot2x4Lanes(a, b, &lanes)
+	for r := 0; r < 2; r++ {
+		for c := 0; c < 4; c++ {
+			s := (*[4]float64)(lanes[4*(4*r+c):])
+			s0 := s[0]
+			for k := K &^ 3; k < K; k++ {
+				s0 += a[r*K+k] * b[c*K+k]
+			}
+			out[4*r+c] = (s0 + s[1]) + (s[2] + s[3])
+		}
+	}
 }
 
 // hadamardIntoGo is the scalar reference of the element-wise product.

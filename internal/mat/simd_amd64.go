@@ -54,6 +54,9 @@ func mulAddRow1AVX2(dst, b []float64, a float64)
 func dot4AVX2(a, b []float64) float64
 
 //go:noescape
+func dot2x4AVX2(a, b []float64, lanes *[32]float64)
+
+//go:noescape
 func hadamardIntoAVX2(dst, a, b []float64)
 
 //go:noescape
@@ -110,6 +113,17 @@ func dot4(a, b []float64) float64 {
 		return dot4AVX2(a, b[:len(a)])
 	}
 	return dot4Go(a, b)
+}
+
+// dot2x4Lanes fills lanes with the 2x4 dot kernel's lane sums (see
+// dot2x4LanesGo). One 4-lane vector form serves the avx2 and avx512
+// levels: dot4's lane split is fixed at four.
+func dot2x4Lanes(a, b []float64, lanes *[32]float64) {
+	if useAVX2 && len(a) >= 8 {
+		dot2x4AVX2(a, b, lanes)
+		return
+	}
+	dot2x4LanesGo(a, b, lanes)
 }
 
 // AddBiasLeakyInto computes dst[i] = leaky(dst[i] + bias[i]) in one

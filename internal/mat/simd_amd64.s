@@ -1,7 +1,7 @@
 // AVX2 micro-kernels for the dense matmul inner loops. Each function
 // mirrors its *Go reference in simd.go exactly: vector lanes are
-// independent output elements (or, for dot4, exactly the scalar
-// code's four interleaved accumulators), multiplies and adds are
+// independent output elements (or, for dot4 and dot2x4, exactly the
+// scalar code's four interleaved accumulators), multiplies and adds are
 // separate instructions (no FMA — FMA skips the intermediate rounding
 // and would change bits), and scalar tails replicate the same
 // operation grouping. Results are bitwise identical to the Go
@@ -208,6 +208,73 @@ dot4_combine:
 	ADDSD    X3, X1          // s2 + s3
 	ADDSD    X1, X0          // (s0+s1) + (s2+s3)
 	MOVSD    X0, ret+48(FP)
+	RET
+
+// D24_COL multiplies the two a-row quads in Y8 (row 0) and Y9 (row 1)
+// by one b-row quad and adds the products into that column's row-0
+// and row-1 accumulators — the dot4 lane step, s_l += a[k+l]*b[k+l],
+// for two dots at once.
+#define D24_COL(bsrc, acc0, acc1) \
+	VMOVUPD bsrc, Y10;      \
+	VMULPD  Y10, Y8, Y11;   \
+	VMULPD  Y10, Y9, Y12;   \
+	VADDPD  Y11, acc0, acc0; \
+	VADDPD  Y12, acc1, acc1
+
+// func dot2x4AVX2(a, b []float64, lanes *[32]float64)
+//
+// Lane sums of the eight dot products of two a-rows against four
+// b-rows: a holds two rows of length K = len(a)/2 back to back, b four
+// rows of length K. Accumulator Y(4r+c) is dot4's [s0, s1, s2, s3] for
+// a-row r and b-row c over the K&^3 quad part, stored to lanes[4(4r+c):].
+// The caller adds the K%4 tail into s0 and combines, as dot4 does.
+// Each quad step loads two a quads and four b quads for eight
+// independent multiply/add chains, where dot4 runs one.
+TEXT ·dot2x4AVX2(SB), NOSPLIT, $0-56
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ b_base+24(FP), DI
+	MOVQ lanes+48(FP), DX
+	SHRQ $1, CX              // CX = K
+	MOVQ CX, R8
+	SHLQ $3, R8              // R8 = row stride in bytes
+	LEAQ (R8)(R8*2), R9      // R9 = 3 row strides
+	SHRQ $2, CX              // CX = quads
+
+	VXORPD Y0, Y0, Y0        // a0·b0
+	VXORPD Y1, Y1, Y1        // a0·b1
+	VXORPD Y2, Y2, Y2        // a0·b2
+	VXORPD Y3, Y3, Y3        // a0·b3
+	VXORPD Y4, Y4, Y4        // a1·b0
+	VXORPD Y5, Y5, Y5        // a1·b1
+	VXORPD Y6, Y6, Y6        // a1·b2
+	VXORPD Y7, Y7, Y7        // a1·b3
+
+	TESTQ CX, CX
+	JZ    d24_store
+
+d24_loop:
+	VMOVUPD (SI), Y8
+	VMOVUPD (SI)(R8*1), Y9
+	D24_COL((DI), Y0, Y4)
+	D24_COL((DI)(R8*1), Y1, Y5)
+	D24_COL((DI)(R8*2), Y2, Y6)
+	D24_COL((DI)(R9*1), Y3, Y7)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  d24_loop
+
+d24_store:
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
 	RET
 
 // func hadamardIntoAVX2(dst, a, b []float64)

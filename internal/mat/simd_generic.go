@@ -24,6 +24,8 @@ func mulAddRow1(dst, b []float64, a float64) { mulAddRow1Go(dst, b, a) }
 
 func dot4(a, b []float64) float64 { return dot4Go(a, b) }
 
+func dot2x4Lanes(a, b []float64, lanes *[32]float64) { dot2x4LanesGo(a, b, lanes) }
+
 func hadamardSlices(dst, a, b []float64) { hadamardIntoGo(dst, a, b) }
 
 // AddBiasLeakyInto computes dst[i] = leaky(dst[i] + bias[i]) — the

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,6 +87,16 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 				t.Fatalf("dot4 n=%d: avx2 %v != go %v", n, got, ref)
 			}
 
+			a2, b4x := randSlice(rng, 2*n), randSlice(rng, 4*n)
+			var lanes, lanesRef [32]float64
+			dot2x4AVX2(a2, b4x, &lanes)
+			dot2x4LanesGo(a2, b4x, &lanesRef)
+			for l := range lanes {
+				if math.Float64bits(lanes[l]) != math.Float64bits(lanesRef[l]) {
+					t.Fatalf("dot2x4 n=%d dot %d lane %d: avx2 %v != go %v", n, l/4, l%4, lanes[l], lanesRef[l])
+				}
+			}
+
 			dst = make([]float64, n)
 			want = make([]float64, n)
 			hadamardIntoGo(want, x, y)
@@ -127,13 +138,15 @@ func denseBitsEqual(t *testing.T, name string, got, want *Dense) {
 
 // TestMatMulSIMDOnOffBitwise proves whole-kernel outputs do not depend
 // on the vector path: MatMul, both transposed matmuls, Hadamard and
-// AddScaled produce identical bits with SIMD forced off.
+// AddScaled produce identical bits at every SIMD level the CPU runs and
+// with SIMD forced off.
 func TestMatMulSIMDOnOffBitwise(t *testing.T) {
 	if !simdEnabled() {
 		t.Skip("no vector unit on this platform")
 	}
+	levels := simdLevels(t)
 	rng := rand.New(rand.NewSource(11))
-	for _, sh := range [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 33, 9}, {64, 131, 48}, {10, 4, 4}} {
+	for _, sh := range [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 33, 9}, {64, 131, 48}, {10, 4, 4}, {7, 385, 9}, {13, 37, 6}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := RandNormal(rng, m, k, 1)
 		b := RandNormal(rng, k, n, 1)
@@ -145,13 +158,14 @@ func TestMatMulSIMDOnOffBitwise(t *testing.T) {
 			add.AddScaled(Hadamard(c, c), -0.7)
 			return [5]*Dense{MatMul(a, b), MatMulTransA(a, c), MatMulTransB(a, bt), Hadamard(c, c), add}
 		}
-		got := run()
-		prev := SIMD()
 		setSIMD("none")
 		want := run()
-		setSIMD(prev)
-		for i, name := range []string{"MatMul", "MatMulTransA", "MatMulTransB", "Hadamard", "AddScaled"} {
-			denseBitsEqual(t, name, got[i], want[i])
+		for _, level := range levels {
+			setSIMD(level)
+			got := run()
+			for i, name := range []string{"MatMul", "MatMulTransA", "MatMulTransB", "Hadamard", "AddScaled"} {
+				denseBitsEqual(t, fmt.Sprintf("%s %s %v", level, name, sh), got[i], want[i])
+			}
 		}
 	}
 }
@@ -244,6 +258,58 @@ func TestMulRows4IntoMatchesMulRowInto(t *testing.T) {
 				if math.Float64bits(four[j]) != math.Float64bits(ref[j]) || math.Float64bits(one[j]) != math.Float64bits(ref[j]) {
 					t.Fatalf("%s K=%d n=%d row %d col %d: MulRows4Into %v, MulRowInto %v, scalar MulRowInto %v",
 						level, k, n, j/n, j%n, four[j], one[j], ref[j])
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTransBBlockedMatchesDot4 checks the 2x4-blocked a*bᵀ
+// kernel element by element against the scalar dot4 reference, bit for
+// bit, at every SIMD level and at workers 1 and 3: MatMulTransBInto
+// must give dot4(a_i, b_j) and MatMulTransBAddInto acc + dot4(a_i,
+// b_j). The shapes cover odd row counts (the one-row remainder), b row
+// counts ≡ 0..3 mod 4 (the dot4 column tail) and K ≡ 0..3 mod 4 (the
+// lane tail), up to the decoder's 385-wide layer.
+func TestMatMulTransBBlockedMatchesDot4(t *testing.T) {
+	levels := simdLevels(t)
+	defer SetWorkers(0)
+	rng := rand.New(rand.NewSource(29))
+	for _, m := range []int{1, 2, 3, 5, 8, 17} {
+		for _, p := range []int{1, 3, 4, 5, 9, 385} {
+			for _, k := range []int{1, 3, 4, 5, 7, 8, 13, 384, 385} {
+				a, b, acc := New(m, k), New(p, k), New(m, p)
+				copy(a.data, randSlice(rng, len(a.data)))
+				copy(b.data, randSlice(rng, len(b.data)))
+				copy(acc.data, randSlice(rng, len(acc.data)))
+				want := make([]float64, m*p)
+				for i := 0; i < m; i++ {
+					for j := 0; j < p; j++ {
+						want[i*p+j] = dot4Go(a.Row(i), b.Row(j))
+					}
+				}
+				for _, level := range levels {
+					setSIMD(level)
+					for _, workers := range []int{1, 3} {
+						SetWorkers(workers)
+						over := New(m, p)
+						for i := range over.data {
+							over.data[i] = math.NaN() // must overwrite, not accumulate
+						}
+						MatMulTransBInto(over, a, b)
+						add := acc.Clone()
+						MatMulTransBAddInto(add, a, b)
+						for e, w := range want {
+							if math.Float64bits(over.data[e]) != math.Float64bits(w) {
+								t.Fatalf("%s workers=%d m=%d p=%d K=%d (%d,%d): MatMulTransBInto %v != dot4 %v",
+									level, workers, m, p, k, e/p, e%p, over.data[e], w)
+							}
+							if sum := acc.data[e] + w; math.Float64bits(add.data[e]) != math.Float64bits(sum) {
+								t.Fatalf("%s workers=%d m=%d p=%d K=%d (%d,%d): MatMulTransBAddInto %v != acc + dot4 %v",
+									level, workers, m, p, k, e/p, e%p, add.data[e], sum)
+							}
+						}
+					}
 				}
 			}
 		}
