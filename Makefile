@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile
+.PHONY: all build test bench lint fmt fuzz serve-smoke cluster-smoke chaos-smoke obs-smoke profile
 
 all: build lint test
 
@@ -25,6 +25,11 @@ bench:
 	$(GO) run ./cmd/benchtab -table 1 -trainbench -json BENCH_local.json
 	$(GO) run ./cmd/benchdiff BENCH_seed.json BENCH_local.json
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_local.json
+
+# Fuzz the Prometheus parser and the renderer round trip. The seed
+# corpus in internal/obs/testdata/fuzz also runs under plain go test.
+fuzz:
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

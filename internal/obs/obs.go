@@ -22,10 +22,10 @@
 //     integer addition), so the router can sum fleet histograms
 //     without approximation.
 //
-//   - Prometheus text exposition: minimal writers for counters,
-//     gauges and histograms in the text format (version 0.0.4), plus
-//     a parser used by tests and cmd/obscheck to prove scrapes
-//     round-trip.
+//   - Prometheus text exposition: WriteProm renders a tagged metrics
+//     struct in the text format (version 0.0.4), the way
+//     encoding/json renders it as JSON, and a strict parser lets tests
+//     and cmd/obscheck prove scrapes round-trip.
 //
 // BuildInfo (git commit + toolchain, via -ldflags -X and
 // debug.ReadBuildInfo), a slog construction helper and a flag-gated

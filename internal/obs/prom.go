@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,16 +23,10 @@ func promEscape(v string) string {
 	return v
 }
 
-// PromLabel renders one label pair for use in PromSample label lists
-// ("backend=\"127.0.0.1:9001\"").
-func PromLabel(k, v string) string {
-	return k + `="` + promEscape(v) + `"`
-}
-
-// PromHeader writes the # HELP / # TYPE preamble for a metric family.
-// typ is "counter", "gauge" or "histogram".
-func PromHeader(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// promLabel renders one label pair with a leading comma
+// (`,backend="127.0.0.1:9001"`), so label sets build by concatenation.
+func promLabel(k, v string) string {
+	return `,` + k + `="` + promEscape(v) + `"`
 }
 
 // promValue renders a sample value.
@@ -46,43 +42,116 @@ func promValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// PromSample writes one sample line. labels is a comma-joined list of
-// PromLabel results ("" for none).
-func PromSample(w io.Writer, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, promValue(v))
-		return
+var histogramType = reflect.TypeOf(HistogramSnapshot{})
+
+// WriteProm renders v, a struct or a pointer to one, in the text
+// exposition format, the way encoding/json renders it as JSON. The
+// struct tags are the only description of each metric:
+//
+//   - A scalar field tagged `prom:"name,type" help:"..."` (type
+//     counter or gauge) is one sample of that family; integers render
+//     exactly, floats in shortest form. A HistogramSnapshot field
+//     tagged `prom:"name" help:"..."` is one histogram of that family.
+//   - A string field tagged `prom:"name,gauge,label=key"` is an info
+//     gauge: name{key="<value>"} 1.
+//   - Struct, pointer and map[string]struct fields are walked; a nil
+//     pointer contributes nothing. `prom:",label=key"` on a map labels
+//     each element's samples key="<map key>" (keys sorted), and
+//     `prom:",label=key=value"` on a struct adds a constant label.
+//
+// <prefix>build_info comes first. Samples are grouped by family in
+// first-seen order, so every family is one contiguous block.
+func WriteProm(w io.Writer, prefix string, v any) error {
+	p := promWriter{families: map[string]*bytes.Buffer{}}
+	b := Build()
+	p.sample(prefix+"build_info", "gauge", "Build identity of the running binary (value is always 1).",
+		"", promLabel("commit", b.Short())+promLabel("go", b.GoVersion), "1")
+	p.walk(reflect.ValueOf(v), "")
+	for _, f := range p.order {
+		if _, err := w.Write(f.Bytes()); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, promValue(v))
+	return nil
 }
 
-// PromInt is PromSample for integer counters.
-func PromInt(w io.Writer, name, labels string, v int64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %d\n", name, v)
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
+type promWriter struct {
+	families map[string]*bytes.Buffer
+	order    []*bytes.Buffer
 }
 
-// PromHistogram writes a full histogram family instance: cumulative
-// _bucket series (le-labelled, ending at +Inf), _sum (seconds) and
-// _count. The caller writes the PromHeader once per family; this
-// writes one label-set's series, so per-backend (or per-endpoint)
-// histograms share a family.
-func PromHistogram(w io.Writer, name, labels string, s HistogramSnapshot) {
+// sample appends name{labels} value to family fam, declaring the
+// family on first use. suffix extends fam into the sample name
+// (histogram _bucket/_sum/_count).
+func (p *promWriter) sample(fam, typ, help, suffix, labels, value string) {
+	f := p.families[fam]
+	if f == nil {
+		f = new(bytes.Buffer)
+		fmt.Fprintf(f, "# HELP %s %s\n# TYPE %s %s\n", fam, help, fam, typ)
+		p.families[fam] = f
+		p.order = append(p.order, f)
+	}
+	f.WriteString(fam + suffix)
+	if labels != "" {
+		f.WriteString("{" + labels[1:] + "}")
+	}
+	f.WriteString(" " + value + "\n")
+}
+
+func (p *promWriter) walk(v reflect.Value, labels string) {
+	if v.Kind() == reflect.Pointer {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+	}
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		field, fv := t.Field(i), v.Field(i)
+		if !field.IsExported() {
+			continue
+		}
+		tag, label, _ := strings.Cut(field.Tag.Get("prom"), ",label=")
+		name, typ, _ := strings.Cut(tag, ",")
+		help := field.Tag.Get("help")
+		switch {
+		case fv.Type() == histogramType:
+			p.histogram(name, help, labels, fv.Interface().(HistogramSnapshot))
+		case fv.Kind() == reflect.Map:
+			keys := fv.MapKeys()
+			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+			for _, k := range keys {
+				p.walk(fv.MapIndex(k), labels+promLabel(label, k.String()))
+			}
+		case fv.Kind() == reflect.Struct || fv.Kind() == reflect.Pointer:
+			l := labels
+			if k, val, ok := strings.Cut(label, "="); ok {
+				l += promLabel(k, val)
+			}
+			p.walk(fv, l)
+		case name == "":
+		case fv.Kind() == reflect.String:
+			p.sample(name, typ, help, "", labels+promLabel(label, fv.String()), "1")
+		case fv.CanInt():
+			p.sample(name, typ, help, "", labels, strconv.FormatInt(fv.Int(), 10))
+		case fv.CanFloat():
+			p.sample(name, typ, help, "", labels, promValue(fv.Float()))
+		}
+	}
+}
+
+// histogram writes one label set's series of a histogram family:
+// cumulative le-labelled _bucket series ending at +Inf, _sum in
+// seconds and _count.
+func (p *promWriter) histogram(fam, help, labels string, s HistogramSnapshot) {
 	var cum int64
 	for i := 0; i < NumBuckets; i++ {
 		cum += s.Buckets[i]
-		le := PromLabel("le", promValue(BucketUpperSeconds(i)))
-		l := le
-		if labels != "" {
-			l = labels + "," + le
-		}
-		PromInt(w, name+"_bucket", l, cum)
+		le := promLabel("le", promValue(BucketUpperSeconds(i)))
+		p.sample(fam, "histogram", help, "_bucket", labels+le, strconv.FormatInt(cum, 10))
 	}
-	PromSample(w, name+"_sum", labels, float64(s.SumNs)/1e9)
-	PromInt(w, name+"_count", labels, cum)
+	p.sample(fam, "histogram", help, "_sum", labels, promValue(float64(s.SumNs)/1e9))
+	p.sample(fam, "histogram", help, "_count", labels, strconv.FormatInt(cum, 10))
 }
 
 // PromSeries is one parsed sample: a metric name, its sorted
@@ -106,7 +175,7 @@ func (s PromSeries) labelKey(excludeLe bool) string {
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "=" + s.Labels[k]
+		parts[i] = k + "=" + strconv.Quote(s.Labels[k])
 	}
 	return strings.Join(parts, ",")
 }
@@ -141,12 +210,17 @@ func (p *PromSet) Value(name string, want map[string]string) (float64, bool) {
 
 // ParseProm parses the Prometheus text exposition format, strictly
 // enough to prove a scrape is well-formed: every non-comment line
-// must be `name[{labels}] value`, label values must be quoted, and
-// every sample's family must have been declared with # TYPE. It is a
-// validator for our own output (and a test oracle), not a general
-// scraper.
+// must be `name[{labels}] value` with valid, distinct label names and
+// quoted values; every sample's family must have been declared once
+// with # TYPE as counter, gauge, histogram, summary or untyped; a
+// family's samples must form one contiguous group; and no series
+// (name plus label set) may repeat. It is a validator for our own
+// output (and a test oracle), not a general scraper.
 func ParseProm(r io.Reader) (*PromSet, error) {
 	set := &PromSet{Types: make(map[string]string)}
+	series := map[string]bool{} // name{labels} already seen
+	ended := map[string]bool{}  // families whose sample group is over
+	current := ""               // family of the previous sample
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -159,6 +233,14 @@ func ParseProm(r io.Reader) (*PromSet, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) >= 4 && fields[1] == "TYPE" {
+				if _, dup := set.Types[fields[2]]; dup {
+					return nil, fmt.Errorf("prom: line %d: second # TYPE for %s", lineNo, fields[2])
+				}
+				switch fields[3] {
+				case "counter", "gauge", "histogram", "summary", "untyped":
+				default:
+					return nil, fmt.Errorf("prom: line %d: unknown metric type %q", lineNo, fields[3])
+				}
 				set.Types[fields[2]] = fields[3]
 			} else if len(fields) >= 3 && fields[1] == "HELP" {
 				// fine
@@ -182,6 +264,18 @@ func ParseProm(r io.Reader) (*PromSet, error) {
 		if _, ok := set.Types[family]; !ok {
 			return nil, fmt.Errorf("prom: line %d: sample %q has no # TYPE declaration", lineNo, s.Name)
 		}
+		if family != current {
+			if ended[family] {
+				return nil, fmt.Errorf("prom: line %d: samples of %s are not one contiguous group", lineNo, family)
+			}
+			ended[current] = true
+			current = family
+		}
+		id := s.Name + "{" + s.labelKey(false) + "}"
+		if series[id] {
+			return nil, fmt.Errorf("prom: line %d: repeated series %s", lineNo, id)
+		}
+		series[id] = true
 		set.Series = append(set.Series, s)
 	}
 	if err := sc.Err(); err != nil {
@@ -244,6 +338,12 @@ func parsePromLabels(s string, into map[string]string) error {
 			return fmt.Errorf("label without '=': %q", s)
 		}
 		key := strings.TrimSpace(s[:eq])
+		if key == "" || !validPromName(key) || strings.Contains(key, ":") {
+			return fmt.Errorf("invalid label name %q", key)
+		}
+		if _, dup := into[key]; dup {
+			return fmt.Errorf("label %q repeated", key)
+		}
 		rest := strings.TrimSpace(s[eq+1:])
 		if len(rest) == 0 || rest[0] != '"' {
 			return fmt.Errorf("label %q value must be quoted", key)

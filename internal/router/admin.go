@@ -256,11 +256,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // BackendMetrics is one pool member's traffic and health counters.
 type BackendMetrics struct {
 	State     string  `json:"state"`
-	Epoch     int64   `json:"epoch"`
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"transport_errors"`
+	Up        int64   `json:"-" prom:"dssddi_router_backend_up,gauge" help:"1 when the backend is in rotation."`
+	Epoch     int64   `json:"epoch" prom:"dssddi_router_backend_epoch,gauge" help:"Serving epoch last reported by the backend."`
+	Requests  int64   `json:"requests" prom:"dssddi_router_backend_requests_total,counter" help:"Proxy attempts sent to the backend."`
+	Errors    int64   `json:"transport_errors" prom:"dssddi_router_backend_transport_errors_total,counter" help:"Transport failures of proxy attempts."`
 	Retries   int64   `json:"retries"`
-	Ejections int64   `json:"ejections"`
+	Ejections int64   `json:"ejections" prom:"dssddi_router_backend_ejections_total,counter" help:"Times the backend was ejected from rotation."`
 	P50Ms     float64 `json:"p50_ms"`
 	P90Ms     float64 `json:"p90_ms"`
 	P99Ms     float64 `json:"p99_ms"`
@@ -269,25 +270,29 @@ type BackendMetrics struct {
 	// hash circle it owns (the expected share). Divergence between the
 	// two is either skew in the workload's patient mix or a bug in the
 	// ring.
-	RoutedKeys int64   `json:"routed_keys"`
-	KeyShare   float64 `json:"key_share"`
-	RingShare  float64 `json:"ring_share"`
+	RoutedKeys int64                 `json:"routed_keys"`
+	KeyShare   float64               `json:"key_share"`
+	RingShare  float64               `json:"ring_share"`
+	Latency    obs.HistogramSnapshot `json:"-" prom:"dssddi_router_backend_duration_seconds" help:"Proxy attempt latency by backend."`
 }
 
-// Metrics is the router's /metricsz payload.
+// Metrics is the router's /metricsz payload, rendered as JSON by
+// default and as the Prometheus exposition (obs.WriteProm) under
+// ?format=prometheus; the prom tags name each field's family, and
+// json:"-" fields are exported to Prometheus only.
 type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Requests      int64   `json:"requests"`
-	ProxyErrors   int64   `json:"proxy_errors"`
-	Retries       int64   `json:"retries"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"dssddi_router_uptime_seconds,gauge" help:"Seconds since the router booted."`
+	Requests      int64   `json:"requests" prom:"dssddi_router_requests_total,counter" help:"Routed requests."`
+	ProxyErrors   int64   `json:"proxy_errors" prom:"dssddi_router_proxy_errors_total,counter" help:"Requests answered 502/503/504 by the router itself."`
+	Retries       int64   `json:"retries" prom:"dssddi_router_retries_total,counter" help:"Proxy attempts that were retries of a failed one."`
 	// PinnedUnavailable counts 503s where a pinned patient's owning
 	// shard was out of rotation (no failover possible); DeadlineExhausted
 	// counts 504s where the request budget ran out before any backend
 	// answered.
-	PinnedUnavailable int64 `json:"pinned_unavailable"`
-	DeadlineExhausted int64 `json:"deadline_exhausted"`
-	Rollouts          int64 `json:"rollouts"`
-	RolloutFailures   int64 `json:"rollout_failures"`
+	PinnedUnavailable int64 `json:"pinned_unavailable" prom:"dssddi_router_pinned_unavailable_total,counter" help:"Pinned-key 503s: the owning shard was out of rotation."`
+	DeadlineExhausted int64 `json:"deadline_exhausted" prom:"dssddi_router_deadline_exhausted_total,counter" help:"504s: the request budget ran out before any backend answered."`
+	Rollouts          int64 `json:"rollouts" prom:"dssddi_router_rollouts_total,counter" help:"Fleet rollouts attempted."`
+	RolloutFailures   int64 `json:"rollout_failures" prom:"dssddi_router_rollout_failures_total,counter" help:"Fleet rollouts aborted."`
 	// Replication counters (all zero when ReplicationFactor is 1):
 	// ReplicaReads counts registered-patient reads served by a
 	// non-owner group member, ReadRepairs the stale replicas refreshed
@@ -296,20 +301,34 @@ type Metrics struct {
 	// for too few acks, and AntiEntropySyncs / AntiEntropyRecords the
 	// reconciliation rounds run for recovering backends and the records
 	// they moved.
-	ReplicaReads       int64                     `json:"replica_reads"`
-	ReadRepairs        int64                     `json:"read_repairs"`
-	ReplicationFanouts int64                     `json:"replication_fanouts"`
-	QuorumFailures     int64                     `json:"quorum_failures"`
-	AntiEntropySyncs   int64                     `json:"anti_entropy_syncs"`
-	AntiEntropyRecords int64                     `json:"anti_entropy_records"`
-	Backends           map[string]BackendMetrics `json:"backends"`
+	ReplicaReads       int64                     `json:"replica_reads" prom:"dssddi_router_replica_reads_total,counter" help:"Registered-patient reads served by a non-owner replica."`
+	ReadRepairs        int64                     `json:"read_repairs" prom:"dssddi_router_read_repairs_total,counter" help:"Stale replicas refreshed in the background (failover reads and failed fan-out applies)."`
+	ReplicationFanouts int64                     `json:"replication_fanouts" prom:"dssddi_router_replication_fanouts_total,counter" help:"Replica applies fanned out for acknowledged registry writes."`
+	QuorumFailures     int64                     `json:"quorum_failures" prom:"dssddi_router_quorum_failures_total,counter" help:"Registry mutations refused because the write quorum was not met."`
+	AntiEntropySyncs   int64                     `json:"anti_entropy_syncs" prom:"dssddi_router_anti_entropy_syncs_total,counter" help:"Anti-entropy reconciliation rounds run for recovering backends."`
+	AntiEntropyRecords int64                     `json:"anti_entropy_records" prom:"dssddi_router_anti_entropy_records_total,counter" help:"Records moved by anti-entropy and read repair pushes."`
+	ReplicationLag     obs.HistogramSnapshot     `json:"-" prom:"dssddi_router_replication_lag_seconds" help:"Owner-ack to replica-ack fan-out latency."`
+	Backends           map[string]BackendMetrics `json:"backends" prom:",label=backend"`
+	// Fleet is the exact bucket-wise sum of the per-backend latency
+	// histograms: the shared bucket layout makes the merge integer
+	// addition, so its _count always equals the sum of the backends'.
+	Fleet obs.HistogramSnapshot `json:"-" prom:"dssddi_router_fleet_duration_seconds" help:"Proxy attempt latency across the whole fleet (exact bucket-wise sum of the per-backend histograms)."`
 }
 
 func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		rt.writePromMetrics(w)
+	m := rt.gatherMetrics()
+	if r.URL.Query().Get("format") != "prometheus" {
+		writeJSON(w, http.StatusOK, m)
 		return
 	}
+	w.Header().Set("Content-Type", obs.PromContentType)
+	w.WriteHeader(http.StatusOK)
+	_ = obs.WriteProm(w, "dssddi_router_", m) // a failed write means the client left after the 200
+}
+
+// gatherMetrics reads every live counter once; /metricsz renders the
+// result in either format.
+func (rt *Router) gatherMetrics() Metrics {
 	shares := rt.ring.Shares()
 	total := rt.requests.Load()
 	m := Metrics{
@@ -327,6 +346,7 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		QuorumFailures:     rt.quorumFailures.Load(),
 		AntiEntropySyncs:   rt.antiEntropySyncs.Load(),
 		AntiEntropyRecords: rt.antiEntropyRecords.Load(),
+		ReplicationLag:     rt.replLag.Snapshot(),
 		Backends:           make(map[string]BackendMetrics, len(rt.order)),
 	}
 	for _, name := range rt.order {
@@ -342,12 +362,16 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			RoutedKeys: b.routedKeys.Load(),
 			RingShare:  shares[name],
 		}
-		lat := b.lat.Snapshot()
-		bm.P50Ms, bm.P90Ms, bm.P99Ms = lat.QuantileMs(0.50), lat.QuantileMs(0.90), lat.QuantileMs(0.99)
+		if state == stateHealthy {
+			bm.Up = 1
+		}
+		bm.Latency = b.lat.Snapshot()
+		bm.P50Ms, bm.P90Ms, bm.P99Ms = bm.Latency.QuantileMs(0.50), bm.Latency.QuantileMs(0.90), bm.Latency.QuantileMs(0.99)
+		m.Fleet.Add(bm.Latency)
 		if total > 0 {
 			bm.KeyShare = float64(bm.RoutedKeys) / float64(total)
 		}
 		m.Backends[name] = bm
 	}
-	writeJSON(w, http.StatusOK, m)
+	return m
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dssddi/internal/obs"
@@ -127,17 +130,51 @@ func TestTracezSpansExplainLatency(t *testing.T) {
 
 // TestServePromExposition: the Prometheus view of /metricsz parses
 // strictly, its histograms are internally consistent, the core
-// families are present, and the default JSON shape is still served
-// (and still carries the same request counts).
+// families are present, and every value Prometheus mirrors from the
+// JSON document agrees with it. The JSON-to-family mapping is written
+// out by hand here, independent of the struct tags that drive the
+// renderer.
 func TestServePromExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "model.snap")
+	fh, err := os.Create(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := system(t).Save(fh); err != nil {
+		t.Fatal(err)
+	}
+	fh.Close()
+	_, ts := newTestServer(t, durableConfig(dir))
 	for i := 0; i < 5; i++ {
 		resp, _ := post(t, ts.URL+"/v1/suggest", SuggestRequest{Patient: i, K: 2})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("suggest %d: status %d", i, resp.StatusCode)
 		}
 	}
+	if resp, body := do(t, http.MethodPut, ts.URL+"/v1/patients/mirror", PatientPutRequest{Regimen: []int{0, 2}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts.URL+"/v1/admin/reload", ReloadRequest{Path: snap}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
+	}
+	post(t, ts.URL+"/v1/suggest", SuggestRequest{PatientID: "mirror", K: 2})
+	post(t, ts.URL+"/v1/suggest", SuggestRequest{Patient: 0, K: 2})
 
+	// One scrape of each format, JSON first: the Prometheus scrape
+	// therefore counts exactly one more metricsz request.
+	respJSON, bodyJSON := get(t, ts.URL+"/metricsz")
+	if respJSON.StatusCode != http.StatusOK {
+		t.Fatalf("json metricsz status %d", respJSON.StatusCode)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(bodyJSON, &doc); err != nil {
+		t.Fatalf("json metricsz no longer parses: %v", err)
+	}
+	var m Metrics
+	if err := json.Unmarshal(bodyJSON, &m); err != nil {
+		t.Fatalf("json metricsz no longer decodes into Metrics: %v", err)
+	}
 	resp, body := get(t, ts.URL+"/metricsz?format=prometheus")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prometheus metricsz status %d", resp.StatusCode)
@@ -166,19 +203,70 @@ func TestServePromExposition(t *testing.T) {
 		t.Fatalf("dssddi_requests_total{endpoint=suggest} = %v (present=%v), want >= 5", count, ok)
 	}
 
-	// The JSON default is untouched: same URL without the format
-	// parameter still returns the structured metrics document.
-	respJSON, bodyJSON := get(t, ts.URL+"/metricsz")
-	if respJSON.StatusCode != http.StatusOK {
-		t.Fatalf("json metricsz status %d", respJSON.StatusCode)
+	mirror := func(path, family string, labels map[string]string, delta float64) {
+		t.Helper()
+		want, ok := jsonNumber(doc, path)
+		if !ok {
+			t.Fatalf("JSON has no number at %s", path)
+		}
+		got, ok := set.Value(family, labels)
+		if !ok || got != want+delta {
+			t.Errorf("%s%v = %v (present %v), JSON %s = %v", family, labels, got, ok, path, want)
+		}
 	}
-	var m Metrics
-	if err := json.Unmarshal(bodyJSON, &m); err != nil {
-		t.Fatalf("json metricsz no longer parses: %v", err)
+	for path, family := range map[string]string{
+		"epoch":                           "dssddi_epoch",
+		"reloads":                         "dssddi_reloads_total",
+		"memory.model_bytes":              "dssddi_model_resident_bytes",
+		"memory.registry_embedding_bytes": "dssddi_registry_embedding_bytes",
+		"batching.batches":                "dssddi_score_batches_total",
+		"batching.requests":               "dssddi_score_batched_requests_total",
+		"registry.patients":               "dssddi_registry_patients",
+		"registry.writes":                 "dssddi_registry_writes_total",
+		"registry.reembeds":               "dssddi_registry_reembeds_total",
+		"registry.replica_applies":        "dssddi_replica_applies_total",
+		"registry.replica_stale":          "dssddi_replica_apply_stale_total",
+		"deadline_timeouts":               "dssddi_deadline_timeouts_total",
+		"wal.records":                     "dssddi_wal_records",
+		"wal.bytes":                       "dssddi_wal_bytes",
+		"wal.syncs":                       "dssddi_wal_syncs_total",
+		"wal.checkpoints":                 "dssddi_wal_checkpoints_total",
+	} {
+		mirror(path, family, nil, 0)
 	}
-	suggestReqs := m.Endpoints["suggest"].Requests
-	if float64(suggestReqs) != count {
-		t.Fatalf("JSON reports %d suggest requests, Prometheus %v — same counters must back both", suggestReqs, count)
+	for _, cache := range []string{"suggest", "explain"} {
+		l := map[string]string{"cache": cache}
+		mirror(cache+"_cache.hits", "dssddi_cache_hits_total", l, 0)
+		mirror(cache+"_cache.misses", "dssddi_cache_misses_total", l, 0)
+	}
+	if v, ok := set.Value("dssddi_precision_info", map[string]string{"precision": doc["memory"].(map[string]any)["precision"].(string)}); !ok || v != 1 {
+		t.Errorf("dssddi_precision_info does not carry the JSON precision")
+	}
+	endpoints := doc["endpoints"].(map[string]any)
+	var sheds float64
+	for e := range endpoints {
+		l := map[string]string{"endpoint": e}
+		delta := 0.0
+		if e == "metricsz" {
+			delta = 1
+		}
+		mirror("endpoints."+e+".requests", "dssddi_requests_total", l, delta)
+		mirror("endpoints."+e+".requests", "dssddi_request_duration_seconds_count", l, delta)
+		mirror("endpoints."+e+".errors", "dssddi_request_errors_total", l, 0)
+		s, _ := jsonNumber(doc, "endpoints."+e+".sheds") // omitted when zero
+		if got, ok := set.Value("dssddi_sheds_total", l); !ok || got != s {
+			t.Errorf("dssddi_sheds_total{endpoint=%s} = %v (present %v), JSON %v", e, got, ok, s)
+		}
+		sheds += s
+	}
+	if total, _ := jsonNumber(doc, "sheds"); total != sheds {
+		t.Errorf("JSON sheds %v != sum of per-endpoint sheds %v", total, sheds)
+	}
+	if writes, _ := jsonNumber(doc, "registry.writes"); writes < 1 {
+		t.Errorf("registry.writes = %v, want the PUT counted", writes)
+	}
+	if reloads, _ := jsonNumber(doc, "reloads"); reloads != 1 {
+		t.Errorf("reloads = %v, want 1", reloads)
 	}
 
 	// Health carries the build identity.
@@ -197,4 +285,19 @@ func TestServePromExposition(t *testing.T) {
 	if h.Build.GoVersion == "" {
 		t.Fatalf("healthz missing build info: %s", bodyH)
 	}
+}
+
+// jsonNumber reads the number at a dotted path of a decoded JSON
+// document.
+func jsonNumber(doc map[string]any, path string) (float64, bool) {
+	var v any = doc
+	for _, key := range strings.Split(path, ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return 0, false
+		}
+		v = m[key]
+	}
+	n, ok := v.(float64)
+	return n, ok
 }

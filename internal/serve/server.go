@@ -1056,9 +1056,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, ep *servi
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *servingEpoch) int {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return s.writePromMetrics(w, ep)
+	m := s.gatherMetrics(ep)
+	if r.URL.Query().Get("format") != "prometheus" {
+		return writeJSON(w, http.StatusOK, m)
 	}
+	w.Header().Set("Content-Type", obs.PromContentType)
+	w.WriteHeader(http.StatusOK)
+	_ = obs.WriteProm(w, "dssddi_", m) // a failed write means the client left after the 200
+	return http.StatusOK
+}
+
+// gatherMetrics reads every live counter once; /metricsz renders the
+// result in either format.
+func (s *Server) gatherMetrics(ep *servingEpoch) Metrics {
 	batches, requests := ep.batcher.Stats()
 	m := Metrics{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -1079,6 +1089,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			Reembeds:       s.patients.reembeds.Load(),
 			ReplicaApplies: s.patients.replicaApplies.Load(),
 			ReplicaStale:   s.patients.replicaStale.Load(),
+			ApplyLatency:   s.patients.applyLat.Snapshot(),
 		},
 		DeadlineTimeouts: s.deadlineTimeouts.Load(),
 	}
@@ -1096,7 +1107,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 	if st := s.patients.store; st != nil {
 		m.WAL = &WALMetrics{
 			Path:               st.log.Path(),
-			SyncPolicy:         s.cfg.WALSync,
+			SyncPolicy:         st.log.SyncPolicy().String(),
 			Records:            st.log.Records(),
 			Bytes:              st.log.Bytes(),
 			Syncs:              st.log.Syncs(),
@@ -1106,10 +1117,8 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			Checkpoints:        st.checkpoints.Load(),
 			CheckpointFailures: st.ckptFailures.Load(),
 			PendingRecords:     st.pending.Load(),
-		}
-		if m.WAL.SyncPolicy == "" {
-			m.WAL.SyncPolicy = "interval"
+			AppendLatency:      st.log.AppendLatency(),
 		}
 	}
-	return writeJSON(w, http.StatusOK, m)
+	return m
 }

@@ -399,6 +399,9 @@ func (l *Log) flushLoop() {
 // Path returns the file backing the log.
 func (l *Log) Path() string { return l.path }
 
+// SyncPolicy reports the fsync policy the log runs under.
+func (l *Log) SyncPolicy() SyncPolicy { return l.opts.Sync }
+
 // Records reports the number of records currently in the log.
 func (l *Log) Records() int64 { return l.records.Load() }
 
