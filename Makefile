@@ -28,8 +28,10 @@ bench:
 
 # Fuzz the Prometheus parser and the renderer round trip. The seed
 # corpus in internal/obs/testdata/fuzz also runs under plain go test.
+# -fuzzminimizetime caps the minimization of each new input, which at
+# its 60 s default would spend most of the 10 s on the large seeds.
 fuzz:
-	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s -fuzzminimizetime 100x
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -66,7 +68,7 @@ chaos-smoke:
 	./scripts/chaos-smoke.sh
 
 # CPU + heap profiles of the serve hot path: one full cold suggest
-# request (handler -> batcher -> fused scoring -> encode) per
+# request (handler -> streamed top-k scoring -> encode) per
 # iteration. Inspect with `go tool pprof cpu.pprof` / `mem.pprof`.
 profile:
 	$(GO) test -run '^$$' -bench ServeSuggestCold -benchtime 3s \

@@ -39,17 +39,15 @@ import (
 
 func main() {
 	var (
-		model       = flag.String("m", "", "model snapshot to serve (required; produce with 'dssddi train -o')")
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
-		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening")
-		workers     = flag.Int("workers", 0, "kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		maxBatch    = flag.Int("batch-max", 64, "max patients coalesced into one score-matrix call")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "how long a lone request waits to be batched (0 = never wait)")
-		cacheSize   = flag.Int("cache", 4096, "result cache entries across endpoints (negative disables)")
-		defaultK    = flag.Int("default-k", 4, "suggestion list length when a request omits k")
-		precision   = flag.String("precision", "f64", "serving precision: f64 (oracle) or f32 (SIMD quantized); hot reloads keep it unless the reload request names another")
-		watch       = flag.Bool("watch", false, "watch the -m snapshot file and hot-reload it when it changes")
-		watchEvery  = flag.Duration("watch-interval", time.Second, "how often -watch polls the snapshot file")
+		model      = flag.String("m", "", "model snapshot to serve (required; produce with 'dssddi train -o')")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
+		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
+		workers    = flag.Int("workers", 0, "kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+		cacheSize  = flag.Int("cache", 4096, "result cache entries across endpoints (negative disables)")
+		defaultK   = flag.Int("default-k", 4, "suggestion list length when a request omits k")
+		precision  = flag.String("precision", "f64", "serving precision: f64 (oracle) or f32 (SIMD quantized); hot reloads keep it unless the reload request names another")
+		watch      = flag.Bool("watch", false, "watch the -m snapshot file and hot-reload it when it changes")
+		watchEvery = flag.Duration("watch-interval", time.Second, "how often -watch polls the snapshot file")
 
 		walPath      = flag.String("registry-wal", "", "write-ahead log for the patient registry; registrations survive crashes and are replayed on boot (empty = volatile registry)")
 		walSync      = flag.String("wal-sync", "interval", "WAL durability: always (fsync per write), interval (background fsync), off (OS decides)")
@@ -91,8 +89,6 @@ func main() {
 	}
 
 	srv, err := serve.New(sys, serve.Config{
-		MaxBatch:        *maxBatch,
-		BatchWindow:     *batchWindow,
 		CacheSize:       *cacheSize,
 		DefaultK:        *defaultK,
 		Precision:       *precision,
@@ -198,9 +194,9 @@ func main() {
 	}
 	<-done
 	// Graceful close: httpSrv.Shutdown has already drained in-flight
-	// requests (which empties the batcher — every parked request holds
-	// an epoch ref); Close then writes a final registry checkpoint and
-	// fsync-closes the WAL, so the next boot replays nothing.
+	// requests, so no handler is still writing to the registry; Close
+	// then writes a final registry checkpoint and fsync-closes the WAL,
+	// so the next boot replays nothing.
 	srv.Close()
 	if *walPath != "" {
 		fmt.Fprintln(os.Stderr, "dssddi-serve: final checkpoint written, WAL closed")

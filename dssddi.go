@@ -396,9 +396,9 @@ func (s *System) Scores(patients []int) ([][]float64, error) {
 
 // ScoresInto fills rows[i] with the suggestion scores of patients[i]
 // — the buffer-reusing form of Scores. Each rows[i] must have length
-// NumDrugs. The serving batcher feeds pooled row buffers through
-// here, so steady-state batch scoring allocates nothing; the values
-// are bitwise identical to Scores.
+// NumDrugs. A caller that recycles its row buffers (the benchmark's
+// replay of the engine layer does) scores without allocating; the
+// values are bitwise identical to Scores.
 func (s *System) ScoresInto(rows [][]float64, patients []int) error {
 	if err := s.ensureTrained(); err != nil {
 		return err
@@ -421,11 +421,11 @@ func (s *System) ScoresInto(rows [][]float64, patients []int) error {
 }
 
 // SuggestFromScores ranks a precomputed score row (one element per
-// drug, as returned by Scores) into a suggestion list. It is the
-// batched serving path: a server that coalesced many patients into one
-// Scores call re-ranks each row with exactly the code Suggest uses, so
-// batched and direct suggestions are identical. Returns an error on an
-// untrained system or a row of the wrong width.
+// drug, as returned by Scores) into a suggestion list with exactly the
+// ordering Suggest produces, so a caller holding rows from one
+// multi-patient Scores call gets the suggestions Suggest would give
+// each patient. Returns an error on an untrained system or a row of
+// the wrong width.
 func (s *System) SuggestFromScores(scores []float64, k int) ([]Suggestion, error) {
 	if err := s.ensureTrained(); err != nil {
 		return nil, err

@@ -225,10 +225,10 @@ func (m *Model) ScoresInto(dst *mat.Dense, patients []int) {
 	m.runScore(t, hdr, patients)
 }
 
-// ScoresRowsInto fills one caller-owned row per patient — the serving
-// batcher's entry point, letting it recycle row buffers across
-// requests instead of materializing a matrix per batch. Each rows[i]
-// must have length NumDrugs.
+// ScoresRowsInto fills one caller-owned row per patient — the entry
+// point of System.ScoresInto, letting a caller recycle row buffers
+// across calls instead of materializing a matrix per call. Each
+// rows[i] must have length NumDrugs.
 func (m *Model) ScoresRowsInto(rows [][]float64, patients []int) {
 	if len(rows) != len(patients) {
 		panic(fmt.Sprintf("md: ScoresRowsInto got %d rows for %d patients", len(rows), len(patients)))

@@ -9,7 +9,7 @@
 //     wrong answer is attributable across tiers.
 //
 //   - Request tracing: a sampled, bounded ring of per-request span
-//     timelines (admission-queue wait, batch wait, score compute,
+//     timelines (admission-queue wait, cache lookup, score compute,
 //     encode; router-side per-attempt spans annotated with the
 //     backend) served at GET /debug/tracez as text and JSON, in the
 //     spirit of golang.org/x/net/trace. Tracing costs nothing when a

@@ -61,7 +61,7 @@ type Config struct {
 	// RequestBudget bounds one routed request end to end: every
 	// attempt and every backoff sleep spends from it, and each attempt
 	// stamps the remaining budget onto the backend as X-Deadline-Ms so
-	// batch waits are abandoned the moment the router has given up. A
+	// the backend drops a queued request once the router has given up. A
 	// client-supplied X-Deadline-Ms can only shrink the budget, never
 	// extend it (default 2x Timeout).
 	RequestBudget time.Duration

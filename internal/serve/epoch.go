@@ -1,25 +1,29 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"dssddi"
 	"dssddi/internal/alerts"
+	"dssddi/internal/obs"
 )
 
 // servingEpoch is one generation of the serving state: an immutable
 // trained system plus everything derived from it — the interaction
-// checker, the micro-batching scorer and the result caches. A hot
-// reload builds a complete new epoch in the background and swaps one
-// atomic pointer, so every request runs start to finish against
-// exactly one epoch: the batcher it scores through, the cache it reads
-// and fills, and the alerts it screens with all belong to the same
-// model. Nothing is shared between epochs except the patient registry,
-// whose cached embeddings are tagged with the epoch they were computed
+// checker and the result caches. A hot reload builds a complete new
+// epoch in the background and swaps one atomic pointer, so every
+// request runs start to finish against exactly one epoch: the model it
+// scores with, the cache it reads and fills, and the alerts it screens
+// with all belong to the same generation. A request keeps the epoch it
+// loaded alive until it returns; a retired epoch owns no goroutine, so
+// the garbage collector reclaims it once the last such request is done.
+// Nothing is shared between epochs except the patient registry, whose
+// cached embeddings are tagged with the epoch they were computed
 // against.
 type servingEpoch struct {
 	id      int64
@@ -35,17 +39,14 @@ type servingEpoch struct {
 	// its X-Epoch.
 	precision string
 
-	batcher      *batcher
 	suggestCache *lruCache
 	explainCache *lruCache
 
-	// refs counts the server's own reference (1) plus every in-flight
-	// request. When it reaches zero the epoch is retired and its
-	// batcher's collector goroutine shut down — so a reload never
-	// drops a request that is still scoring on the old model, and a
-	// long-running server never accumulates idle collectors.
-	refs      atomic.Int64
-	closeOnce sync.Once
+	// scoreCalls counts score-engine calls made on this epoch and
+	// scoredPatients the patients they scored: a cold index suggest or
+	// explain adds one to each, a /v1/scores request one and N.
+	scoreCalls     atomic.Int64
+	scoredPatients atomic.Int64
 }
 
 // newEpoch derives a serving epoch from a trained system, quantizing
@@ -78,51 +79,46 @@ func (s *Server) newEpoch(sys *dssddi.System, precision string) (*servingEpoch, 
 		checker:   alerts.NewChecker(data.Dataset().DDI, emb, names),
 		info:      info,
 		precision: sys.Precision(),
-		batcher:   newBatcher(sys, s.cfg.MaxBatch, s.cfg.BatchWindow, data.NumDrugs()),
 	}
 	half := s.cfg.CacheSize / 2
 	ep.suggestCache = newLRUCache(s.cfg.CacheSize-half, s.cfg.CacheShards)
 	ep.explainCache = newLRUCache(half, s.cfg.CacheShards)
-	ep.refs.Store(1)
 	return ep, nil
 }
 
-// unref drops one reference; the last reference retires the epoch.
-// Retirement is idempotent: acquireEpoch can transiently resurrect and
-// re-drop a dying epoch's counter while it retries.
-func (ep *servingEpoch) unref() {
-	if ep.refs.Add(-1) <= 0 {
-		ep.closeOnce.Do(func() { ep.batcher.Close() })
+// suggest ranks the top-k drugs for a validated dataset patient on the
+// calling goroutine through the streamed top-k engine, so the response
+// is bitwise System.Suggest. A context that has already expired (a
+// propagated deadline spent in the admission queue or while decoding)
+// returns its error before the engine is touched. A sampled request
+// records the engine call as its "score" span.
+func (ep *servingEpoch) suggest(ctx context.Context, patient, k int) ([]dssddi.Suggestion, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	tr := obs.FromContext(ctx)
+	var start time.Time
+	if tr != nil {
+		start = time.Now()
+	}
+	suggs, err := ep.sys.Suggest(patient, k)
+	tr.Span("score", start)
+	ep.countScore(1)
+	return suggs, err
 }
 
-// acquireEpoch pins the current epoch for one request. It returns nil
-// only when the server is closed. The swap ordering (new pointer is
-// published before the old epoch's server reference is dropped)
-// guarantees the retry loop terminates: a raced acquire on a retiring
-// epoch re-loads the pointer and finds its successor.
-func (s *Server) acquireEpoch() *servingEpoch {
-	for {
-		ep := s.epoch.Load()
-		if ep == nil {
-			return nil
-		}
-		if ep.refs.Add(1) > 1 {
-			return ep
-		}
-		// The epoch retired between Load and Add; undo and retry.
-		ep.unref()
-	}
+// countScore records one score-engine call over n patients.
+func (ep *servingEpoch) countScore(n int) {
+	ep.scoreCalls.Add(1)
+	ep.scoredPatients.Add(int64(n))
 }
 
 // swap atomically replaces the serving model: it builds a complete new
 // epoch from sys, re-embeds every registered patient against it, then
 // publishes the epoch pointer. In-flight requests finish on the epoch
 // they started with; requests arriving after the swap see only the new
-// one. The old epoch's batcher shuts down once its last in-flight
-// request completes. reloadMu (shared with Close) serializes swaps and
-// guarantees a swap can never republish an epoch after Close retired
-// the last one.
+// one. reloadMu (shared with Close) serializes swaps and guarantees a
+// swap can never republish an epoch after Close retired the last one.
 // An empty precision keeps the server's current one; a named precision
 // becomes the server's precision for this and subsequent reloads.
 func (s *Server) swap(sys *dssddi.System, precision string) (*servingEpoch, error) {
@@ -145,11 +141,8 @@ func (s *Server) swap(sys *dssddi.System, precision string) (*servingEpoch, erro
 	// the entry, not fatal: the rest of the registry and the whole
 	// index path keep serving.
 	s.patients.reembedAll(ep)
-	old := s.epoch.Swap(ep)
+	s.epoch.Store(ep)
 	s.reloads.Add(1)
-	if old != nil {
-		old.unref()
-	}
 	return ep, nil
 }
 

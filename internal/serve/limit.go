@@ -84,8 +84,8 @@ func writeShed(w http.ResponseWriter) int {
 
 // deadlineHeader is the propagated request budget: the router stamps
 // the milliseconds it is still willing to wait, and the backend
-// derives a context from it so batch waits and scoring are abandoned
-// the moment the upstream has already given up.
+// derives a context from it so an admission-queue wait is abandoned,
+// and scoring never started, once the upstream has already given up.
 const deadlineHeader = "X-Deadline-Ms"
 
 // requestContext derives the request's context from the propagated

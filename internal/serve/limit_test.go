@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 )
@@ -97,14 +96,38 @@ func TestLimiterNilAdmitsEverything(t *testing.T) {
 	}
 }
 
-// End-to-end overload: with inflight 1 / queue 1 and a batch window
-// that parks the admitted request, a third concurrent request is shed
-// FAST (503 + Retry-After) while the admitted ones complete normally
-// — sustained overload degrades into explicit rejections with bounded
-// latency for admitted work, not an unbounded queue.
+// holdSuggestSlot takes the suggest limiter's only inflight token from
+// the test, so the next suggest request waits in the admission queue
+// until the returned release runs.
+func holdSuggestSlot(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	release, st := s.limits["suggest"].acquire(context.Background())
+	if st != 0 {
+		t.Fatalf("holding the suggest slot: status %d", st)
+	}
+	return release
+}
+
+// waitQueued blocks until n requests wait in the suggest admission
+// queue.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(s.limits["suggest"].queue) < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests never reached the suggest admission queue", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// End-to-end overload: with inflight 1 / queue 1, the inflight slot
+// held and a second request queued, a third concurrent request is shed
+// FAST (503 + Retry-After) while the queued one completes normally once
+// the slot frees — sustained overload degrades into explicit rejections
+// with bounded latency for admitted work, not an unbounded queue.
 func TestOverloadShedsFastWithRetryAfter(t *testing.T) {
 	sys := system(t)
-	_, ts := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1, BatchWindow: 250 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1})
 	p := sys.Data().TestPatients()[0]
 
 	type result struct {
@@ -118,13 +141,16 @@ func TestOverloadShedsFastWithRetryAfter(t *testing.T) {
 		return result{resp.StatusCode, resp.Header.Get("Retry-After"), time.Since(t0)}
 	}
 
-	var wg sync.WaitGroup
-	var first, second result
-	wg.Add(2)
-	go func() { defer wg.Done(); first = req() }()
-	time.Sleep(60 * time.Millisecond) // let it occupy the inflight slot + batch window
-	go func() { defer wg.Done(); second = req() }()
-	time.Sleep(60 * time.Millisecond) // let it take the queue slot
+	release := holdSuggestSlot(t, srv)
+	queued := 0 // status of the queued request; 0 if it failed in transport
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, _ := postQuiet(ts.URL+"/v1/suggest", SuggestRequest{Patient: p, K: 3}); resp != nil {
+			queued = resp.StatusCode
+		}
+	}()
+	waitQueued(t, srv, 1)
 
 	shed := req() // inflight busy, queue full -> immediate 503
 	if shed.status != http.StatusServiceUnavailable {
@@ -136,9 +162,10 @@ func TestOverloadShedsFastWithRetryAfter(t *testing.T) {
 	if shed.elapsed > 150*time.Millisecond {
 		t.Fatalf("shed took %v; must fast-fail while the admitted request still waits", shed.elapsed)
 	}
-	wg.Wait()
-	if first.status != http.StatusOK || second.status != http.StatusOK {
-		t.Fatalf("admitted requests: %d, %d, want 200, 200", first.status, second.status)
+	release()
+	<-done
+	if queued != http.StatusOK {
+		t.Fatalf("queued request: status %d, want 200", queued)
 	}
 
 	// The shed is visible in /metricsz: per-endpoint and total.
@@ -153,11 +180,13 @@ func TestOverloadShedsFastWithRetryAfter(t *testing.T) {
 }
 
 // Deadline propagation: an already-expired X-Deadline-Ms is answered
-// 504 immediately; a short deadline aborts the batch wait early
-// instead of sitting out the full window.
+// 504 immediately; a short deadline that runs out while the request
+// waits in the admission queue is abandoned there instead of waiting
+// for the slot; and a context that expired before scoring never
+// reaches the engine.
 func TestDeadlinePropagation(t *testing.T) {
 	sys := system(t)
-	_, ts := newTestServer(t, Config{BatchWindow: 400 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{MaxInflight: 1})
 	p := sys.Data().TestPatients()[0]
 
 	send := func(deadlineMs string) (*http.Response, time.Duration) {
@@ -185,14 +214,17 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Fatalf("dead-on-arrival request took %v", elapsed)
 	}
 
-	// 40ms budget vs 400ms batch window: the batch wait must be
-	// abandoned when the deadline fires, well before the window ends.
+	// 40ms budget with the only inflight slot held: the admission wait
+	// must be abandoned when the deadline fires, not when the slot
+	// frees.
+	release := holdSuggestSlot(t, srv)
 	resp, elapsed = send("40")
+	release()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("short deadline: status %d, want 504", resp.StatusCode)
 	}
 	if elapsed > 300*time.Millisecond {
-		t.Fatalf("short-deadline request took %v; batch wait was not aborted", elapsed)
+		t.Fatalf("short-deadline request took %v; admission wait was not aborted", elapsed)
 	}
 
 	// A roomy deadline serves normally.
@@ -208,5 +240,18 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if m.DeadlineTimeouts < 2 {
 		t.Fatalf("deadline_timeouts = %d, want >= 2", m.DeadlineTimeouts)
+	}
+
+	// A context that expired after admission stops before the engine:
+	// the handler's 504 path, with no score-engine call counted.
+	ep := srv.epoch.Load()
+	calls := ep.scoreCalls.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ep.suggest(ctx, p, 3); !isDeadlineErr(err) {
+		t.Fatalf("suggest on an expired context: err %v, want a context error", err)
+	}
+	if got := ep.scoreCalls.Load(); got != calls {
+		t.Fatalf("expired suggest reached the engine: %d score calls, was %d", got, calls)
 	}
 }

@@ -51,10 +51,12 @@ type CacheMetrics struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// BatchMetrics is the JSON shape of the micro-batching counters.
+// BatchMetrics is the JSON shape of the score-engine counters: a cold
+// index suggest or explain is one call scoring one patient, and a
+// /v1/scores request one call scoring all of its patients.
 type BatchMetrics struct {
-	Batches      int64   `json:"batches" prom:"dssddi_score_batches_total,counter" help:"Score-matrix calls issued by the micro-batcher (current epoch)."`
-	Requests     int64   `json:"requests" prom:"dssddi_score_batched_requests_total,counter" help:"Patient requests served through batched score calls (current epoch)."`
+	Batches      int64   `json:"batches" prom:"dssddi_score_batches_total,counter" help:"Score-engine calls made by cold suggest, explain and scores requests (current epoch)."`
+	Requests     int64   `json:"requests" prom:"dssddi_score_batched_requests_total,counter" help:"Patients scored by score-engine calls: one per cold suggest or explain, N per scores request (current epoch)."`
 	AvgBatchSize float64 `json:"avg_batch_size"`
 }
 
@@ -108,7 +110,7 @@ type MemoryMetrics struct {
 // Metrics is the full /metricsz payload, rendered as JSON by default
 // and as the Prometheus exposition (obs.WriteProm) under
 // ?format=prometheus; the prom tags name each field's family, and
-// json:"-" fields are exported to Prometheus only. Cache and batching
+// json:"-" fields are exported to Prometheus only. Cache and scoring
 // counters belong to the current epoch (a hot reload starts them
 // fresh); endpoint and registry counters span the server's lifetime.
 type Metrics struct {

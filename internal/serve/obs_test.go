@@ -60,7 +60,7 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 
 // TestTracezSpansExplainLatency: with full sampling, a scored (cache
 // bypassing) request's trace carries the full stage timeline — queue,
-// batch, score, encode — and the stages sum to no more than the
+// score, encode — and the stages sum to no more than the
 // measured request latency.
 func TestTracezSpansExplainLatency(t *testing.T) {
 	s, ts := newTestServer(t, Config{TraceSample: 1})
@@ -100,7 +100,7 @@ func TestTracezSpansExplainLatency(t *testing.T) {
 			t.Fatalf("span %s has negative timing: %+v", sp.Name, sp)
 		}
 	}
-	for _, want := range []string{"queue", "batch", "score", "encode"} {
+	for _, want := range []string{"queue", "score", "encode"} {
 		if !have[want] {
 			t.Fatalf("span %q missing from scored request trace (have %v)", want, v.Spans)
 		}

@@ -2,7 +2,7 @@
 // dssddi.System in a concurrent HTTP JSON API — the decision-support
 // service the paper positions DSSDDI as. The model is immutable, but
 // the serving state is generational: a hot reload builds a complete
-// new epoch (system, batcher, caches, alerts) in the background and
+// new epoch (system, caches, alerts) in the background and
 // swaps one atomic pointer, so the model can be replaced with zero
 // downtime — in-flight requests finish on the epoch they started
 // with, and no request ever observes a half-loaded model.
@@ -20,7 +20,7 @@
 //	DELETE /v1/patients/{id}    remove a registered patient
 //	POST   /v1/admin/reload     hot-swap the model from a snapshot file
 //	GET    /healthz             liveness + model identity + epoch
-//	GET    /metricsz            latency, cache, batching, registry counters
+//	GET    /metricsz            latency, cache, scoring, registry counters
 //
 // Registered patients score through the inductive path: their
 // embedding is computed on write, cached, and recomputed against the
@@ -28,11 +28,12 @@
 // request. Malformed input is 400; a well-formed but unknown patient
 // (index beyond the cohort, unregistered id) is 404.
 //
-// Concurrent /v1/suggest requests are coalesced by a micro-batching
-// scorer into single score-matrix calls, and per-patient results are
-// cached in a sharded LRU; both are response-invariant (bitwise) and
-// exist purely for throughput. Every scoring response carries an
-// X-Epoch header naming the epoch that produced it.
+// Every request is scored on its own goroutine: a cold index suggest
+// or explain streams the decoder weights through System.Suggest's
+// top-k engine, so its response is bitwise the library's. Per-patient
+// results are cached in a sharded LRU, which is response-invariant
+// (bitwise) and exists purely for throughput. Every scoring response
+// carries an X-Epoch header naming the epoch that produced it.
 package serve
 
 import (
@@ -62,16 +63,6 @@ var errServerClosed = errors.New("serve: server is shutting down")
 // Config tunes the serving layer. The zero value gets sensible
 // defaults from fill.
 type Config struct {
-	// MaxBatch bounds the patients coalesced into one score-matrix
-	// call (default 64).
-	MaxBatch int
-	// BatchWindow is how long a lone request waits for company before
-	// being scored solo. The zero value batches opportunistically —
-	// coalescing whatever is already queued without ever waiting — so
-	// idle-server latency is never inflated; set a small positive
-	// window (e.g. 1ms) to trade lone-request latency for bigger
-	// batches under bursty load.
-	BatchWindow time.Duration
 	// CacheSize is the total entries across the suggest and explain
 	// result caches (default 4096; negative disables caching).
 	CacheSize int
@@ -144,12 +135,6 @@ type Config struct {
 }
 
 func (c *Config) fill(drugs int) {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
@@ -239,7 +224,6 @@ func New(sys *dssddi.System, cfg Config) (*Server, error) {
 	if cfg.WALPath != "" {
 		store, profiles, derr := openDurableStore(s.cfg)
 		if derr != nil {
-			ep.unref()
 			return nil, derr
 		}
 		s.patients.installRecovered(profiles)
@@ -256,18 +240,15 @@ func New(sys *dssddi.System, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close retires the current epoch; its batching collector stops once
-// the last in-flight request completes. Subsequent requests get 503.
-// reloadMu excludes a concurrent Swap from republishing an epoch (and
-// leaking its batcher) after the close. With a durable registry, Close
+// Close retires the current epoch: in-flight requests finish on it and
+// subsequent requests get 503. reloadMu excludes a concurrent Swap from
+// republishing an epoch after the close. With a durable registry, Close
 // also writes a final checkpoint and fsync-closes the WAL, so a clean
 // shutdown restarts from the checkpoint alone with an empty log.
 func (s *Server) Close() {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if ep := s.epoch.Swap(nil); ep != nil {
-		ep.unref()
-	}
+	s.epoch.Store(nil)
 	if st := s.patients.store; st != nil {
 		if err := st.shutdown(s.patients); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: closing durable registry: %v\n", err)
@@ -308,11 +289,11 @@ type apiError struct {
 // instrument wraps a handler with method enforcement, deadline
 // derivation, admission control, epoch acquisition, timing and error
 // counting. Order matters: a request is shed or rejected as expired
-// BEFORE it pins an epoch or touches the batcher, so overload and
+// BEFORE it loads an epoch or touches the model, so overload and
 // dead-on-arrival requests cost a few channel operations, not scoring
-// capacity. The epoch is pinned for the whole request — model,
-// batcher, caches and alerts all come from it — and named in the
-// X-Epoch response header.
+// capacity. The epoch is loaded once for the whole request — model,
+// caches and alerts all come from it — and named in the X-Epoch
+// response header.
 func (s *Server) instrument(name, method string, h func(http.ResponseWriter, *http.Request, *servingEpoch) int) http.HandlerFunc {
 	stats := s.metrics.get(name)
 	lim := s.limits[name] // nil for unlimited endpoints
@@ -358,8 +339,7 @@ func (s *Server) logRequest(r *http.Request, rid, endpoint string, status int, d
 // serveAdmitted runs the deadline + admission + epoch pipeline around
 // one handler invocation. A sampled request's trace records the
 // admission-queue wait as the "queue" span, is tagged with the epoch
-// that answered, and rides the request context into the handler (and
-// from there into the batching collector).
+// that answered, and rides the request context into the handler.
 func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, lim *limiter, tr *obs.Trace, h func(http.ResponseWriter, *http.Request, *servingEpoch) int) int {
 	ctx, cancel, expired := requestContext(r)
 	if expired {
@@ -384,14 +364,13 @@ func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, lim *limi
 		tr.Span("queue", qStart)
 		// context.WithValue allocates, so only sampled requests attach
 		// their trace; everyone else keeps the original context and the
-		// batcher sees a nil trace.
+		// handler sees a nil trace.
 		r = r.WithContext(obs.NewContext(r.Context(), tr))
 	}
-	ep := s.acquireEpoch()
+	ep := s.epoch.Load()
 	if ep == nil {
 		return writeJSON(w, http.StatusServiceUnavailable, apiError{Error: errServerClosed.Error()})
 	}
-	defer ep.unref()
 	tr.SetEpoch(ep.id)
 	w.Header().Set("X-Epoch", strconv.FormatInt(ep.id, 10))
 	w.Header().Set("X-Precision", ep.precision)
@@ -557,16 +536,11 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, ep *servi
 		}
 	}
 
-	row, err := ep.batcher.Score(r.Context(), req.Patient)
+	suggs, err := ep.suggest(r.Context(), req.Patient, k)
 	if err != nil {
 		if isDeadlineErr(err) {
 			return s.writeDeadlineExceeded(w)
 		}
-		return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-	}
-	suggs, err := ep.sys.SuggestFromScores(row, k)
-	ep.batcher.PutRow(row) // suggestions hold copies; recycle the row
-	if err != nil {
 		return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 	}
 	resp := SuggestResponse{Patient: req.Patient, K: k, Regimen: ep.data.Medications(req.Patient)}
@@ -575,7 +549,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, ep *servi
 
 // suggestRegistered serves a registered patient through the inductive
 // path: the cached (epoch-tagged) embedding scores through the tiled
-// top-k engine, never the index batcher.
+// top-k engine.
 func (s *Server) suggestRegistered(w http.ResponseWriter, r *http.Request, ep *servingEpoch, id string, k int, screen, nocache bool) int {
 	if err := validPatientID(id); err != nil {
 		return badRequest(w, "%v", err)
@@ -679,22 +653,12 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request, ep *servin
 	if err := r.Context().Err(); err != nil {
 		return s.writeDeadlineExceeded(w)
 	}
-	rows := make([][]float64, len(req.Patients))
-	for i := range rows {
-		rows[i] = ep.batcher.rowPool.get()
-	}
-	recycle := func() {
-		for _, r := range rows {
-			ep.batcher.rowPool.put(r)
-		}
-	}
-	if err := ep.sys.ScoresInto(rows, req.Patients); err != nil {
-		recycle()
+	rows, err := ep.sys.Scores(req.Patients)
+	ep.countScore(len(req.Patients))
+	if err != nil {
 		return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 	}
-	status := writeJSON(w, http.StatusOK, ScoresResponse{Patients: req.Patients, Drugs: ep.data.NumDrugs(), Scores: rows})
-	recycle() // writeJSON has serialized the rows; safe to reuse
-	return status
+	return writeJSON(w, http.StatusOK, ScoresResponse{Patients: req.Patients, Drugs: ep.data.NumDrugs(), Scores: rows})
 }
 
 // ExplainRequest is the /v1/explain body: either an explicit drug set
@@ -735,16 +699,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, ep *servi
 		if k > s.cfg.MaxK {
 			return badRequest(w, "k %d exceeds maximum %d", k, s.cfg.MaxK)
 		}
-		row, err := ep.batcher.Score(r.Context(), *req.Patient)
+		suggs, err := ep.suggest(r.Context(), *req.Patient, k)
 		if err != nil {
 			if isDeadlineErr(err) {
 				return s.writeDeadlineExceeded(w)
 			}
-			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		}
-		suggs, err := ep.sys.SuggestFromScores(row, k)
-		ep.batcher.PutRow(row)
-		if err != nil {
 			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		}
 		drugs = make([]int, len(suggs))
@@ -1069,7 +1028,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 // gatherMetrics reads every live counter once; /metricsz renders the
 // result in either format.
 func (s *Server) gatherMetrics(ep *servingEpoch) Metrics {
-	batches, requests := ep.batcher.Stats()
+	batches, requests := ep.scoreCalls.Load(), ep.scoredPatients.Load()
 	m := Metrics{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Epoch:         ep.id,

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -137,12 +136,12 @@ func TestSuggestCacheHit(t *testing.T) {
 }
 
 // TestConcurrentBatchedSuggestMatchesSerial is the acceptance-critical
-// test: under concurrent load (run with -race) the batched + cached
-// server must return byte-identical suggestion payloads to the direct
-// library path for every patient.
+// test: under concurrent load (run with -race) the cached server, each
+// miss scored on its own request goroutine, must return suggestions
+// bitwise equal to ranking the library's Scores row for the patient.
 func TestConcurrentBatchedSuggestMatchesSerial(t *testing.T) {
 	sys := system(t)
-	srv, ts := newTestServer(t, Config{MaxBatch: 16, BatchWindow: 2 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{})
 
 	patients := sys.Data().TestPatients()
 	if len(patients) > 10 {
@@ -199,12 +198,13 @@ func TestConcurrentBatchedSuggestMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The load above must actually have exercised coalescing: far more
-	// requests than Scores calls (cache hits also reduce batch calls,
-	// so just assert the invariant requests >= batches).
-	batches, requests := srv.epoch.Load().batcher.Stats()
-	if batches == 0 || requests < batches {
-		t.Fatalf("batching counters implausible: %d batches for %d requests", batches, requests)
+	// Every cache miss is one score-engine call for one patient. Each
+	// patient misses at least once; concurrent misses on the same
+	// patient may each score, but never more than one per request.
+	m := srv.gatherMetrics(srv.epoch.Load()).Batching
+	if m.Requests != m.Batches || m.Batches < int64(len(patients)) || m.Batches > goroutines*iters {
+		t.Fatalf("scoring counters implausible: %d calls scoring %d patients for %d requests over %d patients",
+			m.Batches, m.Requests, goroutines*iters, len(patients))
 	}
 }
 
@@ -220,50 +220,9 @@ func postQuiet(url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-func TestBatcherCoalesces(t *testing.T) {
-	sys := system(t)
-	b := newBatcher(sys, 32, 5*time.Millisecond, sys.Data().NumDrugs())
-	defer b.Close()
-
-	patients := sys.Data().TestPatients()[:8]
-	var wg sync.WaitGroup
-	rows := make([][]float64, len(patients))
-	for i, p := range patients {
-		wg.Add(1)
-		go func(i, p int) {
-			defer wg.Done()
-			row, err := b.Score(context.Background(), p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rows[i] = row
-		}(i, p)
-	}
-	wg.Wait()
-	batches, requests := b.Stats()
-	if requests != int64(len(patients)) {
-		t.Fatalf("requests %d, want %d", requests, len(patients))
-	}
-	if batches >= requests {
-		t.Fatalf("no coalescing: %d batches for %d requests", batches, requests)
-	}
-	for i, p := range patients {
-		want, err := sys.Scores([]int{p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want[0] {
-			if rows[i][j] != want[0][j] {
-				t.Fatalf("batched row for patient %d differs at col %d", p, j)
-			}
-		}
-	}
-}
-
 func TestScoresEndpoint(t *testing.T) {
 	sys := system(t)
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	patients := sys.Data().TestPatients()[:3]
 
 	resp, body := post(t, ts.URL+"/v1/scores", ScoresRequest{Patients: patients})
@@ -303,6 +262,12 @@ func TestScoresEndpoint(t *testing.T) {
 	big := make([]int, 10_000)
 	if resp, _ := post(t, ts.URL+"/v1/scores", ScoresRequest{Patients: big}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatal("oversized batch must 400")
+	}
+
+	// The one accepted request was one score-engine call over its three
+	// patients; the rejected ones never reached the engine.
+	if m := srv.gatherMetrics(srv.epoch.Load()).Batching; m.Batches != 1 || m.Requests != int64(len(patients)) {
+		t.Fatalf("scoring counters: %d calls scoring %d patients, want 1 and %d", m.Batches, m.Requests, len(patients))
 	}
 }
 
@@ -446,7 +411,7 @@ func TestHealthzAndMetricsz(t *testing.T) {
 		t.Fatal("healthz counter did not move")
 	}
 	if m.Batching.Requests < 1 {
-		t.Fatal("batching counters did not move")
+		t.Fatal("scoring counters did not move")
 	}
 }
 
@@ -474,28 +439,20 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestZeroBatchWindowNeverWaits(t *testing.T) {
+// TestSuggestAfterCloseUnavailable: once the server is closed there is
+// no epoch to score on, so a suggest is answered 503 at once instead of
+// hanging or touching the retired model.
+func TestSuggestAfterCloseUnavailable(t *testing.T) {
 	sys := system(t)
-	b := newBatcher(sys, 32, 0, sys.Data().NumDrugs())
-	defer b.Close()
-	p := sys.Data().TestPatients()[0]
-	start := time.Now()
-	if _, err := b.Score(context.Background(), p); err != nil {
-		t.Fatal(err)
+	srv, ts := newTestServer(t, Config{})
+	srv.Close()
+	t0 := time.Now()
+	resp, body := post(t, ts.URL+"/v1/suggest", SuggestRequest{Patient: sys.Data().TestPatients()[0], K: 3})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("suggest after Close: status %d, want 503: %s", resp.StatusCode, body)
 	}
-	// A lone request with no window must not sit in the collector; the
-	// bound here is generous (scoring itself takes well under 50ms).
-	if lat := time.Since(start); lat > 500*time.Millisecond {
-		t.Fatalf("zero-window lone request took %v", lat)
-	}
-}
-
-func TestScoreAfterCloseErrors(t *testing.T) {
-	sys := system(t)
-	b := newBatcher(sys, 4, 0, sys.Data().NumDrugs())
-	b.Close()
-	if _, err := b.Score(context.Background(), 0); err == nil {
-		t.Fatal("Score after Close must error, not hang")
+	if elapsed := time.Since(t0); elapsed > 500*time.Millisecond {
+		t.Fatalf("suggest after Close took %v; must fail fast", elapsed)
 	}
 }
 
@@ -568,7 +525,7 @@ func TestCacheControlNoCacheBypasses(t *testing.T) {
 }
 
 // TestServeRequestCycleAllocBudget gates the allocations of one full
-// cold serve request — handler, batcher, fused scoring, response
+// cold serve request — handler, streamed top-k scoring, response
 // encoding — with caching bypassed and screening off. The budget
 // includes the test's own recorder and request plumbing, so the
 // serving path itself sits well below it.
@@ -603,7 +560,7 @@ func TestServeRequestCycleAllocBudget(t *testing.T) {
 }
 
 // BenchmarkServeSuggestCold drives one full cold suggest request —
-// handler, batcher, fused scoring, encode — per iteration, bypassing
+// handler, streamed top-k scoring, encode — per iteration, bypassing
 // the result cache. `make profile` runs this under the CPU and heap
 // profilers; it is the serve hot path minus the network stack.
 func BenchmarkServeSuggestCold(b *testing.B) {

@@ -258,14 +258,17 @@ echo "== replication gate: BENCH_chaos.json records zero lost registrations"
 
 echo "== overload: a 1-inflight/1-queue backend sheds with fast 503s"
 GOMAXPROCS=1 "$WORK/dssddi-serve" -m "$WORK/model.snap" -workers 1 \
-    -max-inflight 1 -max-queue 1 -batch-window 50ms -cache -1 \
+    -max-inflight 1 -max-queue 1 -cache -1 \
     -addr 127.0.0.1:0 -addr-file "$WORK/tiny.txt" &
 PIDS+=($!)
 wait_file "$WORK/tiny.txt"
 TINY=$(cat "$WORK/tiny.txt")
+# Each request scores 256 patients (the /v1/scores cap, cycling the
+# 70-patient cohort) and returns a ~430 KB body, so the admitted one
+# holds the only inflight slot while the rest of the flood arrives.
+BIG="{\"patients\": [$(for i in $(seq 0 255); do printf '%d,' $((i % 70)); done | sed 's/,$//')]}"
 codes=$(for _ in $(seq 1 30); do
-    curl -s -o /dev/null -w '%{http_code}\n' -H 'Cache-Control: no-cache' \
-        -X POST "http://$TINY/v1/suggest" -d '{"patient": 0, "k": 3}' &
+    curl -s -o /dev/null -w '%{http_code}\n' -X POST "http://$TINY/v1/scores" -d "$BIG" &
 done; wait)
 shed=$(echo "$codes" | grep -c '^503$' || true)
 served=$(echo "$codes" | grep -c '^200$' || true)

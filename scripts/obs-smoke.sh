@@ -95,7 +95,7 @@ OWNER=$(echo "$headers" | tr -d '\n ' | sed 's/.*"x-backend":\["\([^"]*\)"\].*/\
 [ -n "$OWNER" ] || { echo "no X-Backend on the traced response"; exit 1; }
 echo "   request $RID served by $OWNER"
 "$WORK/obscheck" trace "http://$ROUTER/debug/tracez" -id "$RID" -spans proxy -cover 0.5
-"$WORK/obscheck" trace "http://$OWNER/debug/tracez" -id "$RID" -spans queue,batch,score,encode -cover 0.25
+"$WORK/obscheck" trace "http://$OWNER/debug/tracez" -id "$RID" -spans queue,score,encode -cover 0.25
 
 echo "== Prometheus expositions round-trip through the strict parser"
 "$WORK/obscheck" prom "http://$ROUTER/metricsz?format=prometheus" \
